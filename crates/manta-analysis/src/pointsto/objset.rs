@@ -1,6 +1,5 @@
 //! Hybrid sorted-vec / bitset object sets — the points-to set
-//! representation shared by the delta solver and the partitioned
-//! solver.
+//! representation of the delta solver.
 
 /// An object set: a sorted `Vec<u32>` while small, switching to a bitset
 /// once it crosses [`ObjSet::SPILL`] elements. Iteration is ascending in

@@ -98,8 +98,7 @@ fn suite(limit: Option<usize>) -> Vec<manta_workloads::ProjectSpec> {
 }
 
 fn bench_incremental(limit: Option<usize>) -> IncrementalBench {
-    let dir = std::env::temp_dir().join(format!("manta-bench-incr-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = manta_bench::scratch_dir("incr");
     let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())

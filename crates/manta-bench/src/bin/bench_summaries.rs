@@ -179,8 +179,7 @@ fn analysis(clusters: usize, edit: Option<u64>) -> ModuleAnalysis {
 
 fn bench_summaries(clusters: usize) -> SummaryBench {
     let config = MantaConfig::full();
-    let dir = std::env::temp_dir().join(format!("manta-bench-summ-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = manta_bench::scratch_dir("summ");
     let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let summary_engine = Engine::builder()
         .config(config)
@@ -371,8 +370,7 @@ fn probe(clusters: usize) {
 
     // Engine-level timing: what the cached summary path adds on top of
     // the bare solve (store get/put, result encode).
-    let dir = std::env::temp_dir().join("manta-bench-summ-probe");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = manta_bench::scratch_dir("summ-probe");
     let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let engine = Engine::builder()
         .config(config)

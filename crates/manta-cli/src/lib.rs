@@ -779,14 +779,10 @@ fn run_command(
             // print the per-stage cost breakdown they recorded. With a cache
             // directory the engine runs in summary mode so the `summary.*`
             // counters below reflect real replay/recompute traffic.
-            // The stats view runs the compositional points-to solver so the
-            // `pointsto.*` partition/wavefront counters below reflect real
-            // traffic; results are bit-identical to the monolithic solve.
             let mut builder = Engine::builder()
                 .config(MantaConfig::full())
                 .budget(resilience.spec())
                 .strict(resilience.strict)
-                .partitioned_pointsto(true)
                 .summaries(cache.is_some());
             if let Some(c) = cache.clone() {
                 builder = builder.cache(c);
@@ -874,18 +870,7 @@ fn run_command(
                 counter("summary.wavefront_width_max"),
                 counter("summary.state_corrupt"),
             );
-            // Compositional points-to: partition count, scheduler levels,
-            // and cross-partition boundary churn from the solve above.
-            let _ = writeln!(
-                out,
-                "pointsto: {} partitions, {} wavefronts, {} boundary deltas, \
-                 {} full re-solves, peak |pts| {}",
-                counter("pointsto.partitions"),
-                counter("pointsto.wavefronts"),
-                counter("pointsto.boundary_delta"),
-                counter("pointsto.full_resolves"),
-                counter("pointsto.peak_pts"),
-            );
+            let _ = writeln!(out, "pointsto: peak |pts| {}", counter("pointsto.peak_pts"));
             out.push_str(&report.render_text());
         }
         Some("explain") => {
@@ -1077,6 +1062,8 @@ fn run_command(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, PoisonError};
 
     const ASM: &str = "\
 module clitest
@@ -1099,8 +1086,20 @@ func main(0) -> ret {
 }
 ";
 
+    /// Runs `f` in a fresh temp directory of its own: parallel test
+    /// threads must never share (and delete) each other's files. The
+    /// commands report process-global telemetry counters, so runs are
+    /// also serialized: one test's cache hits must not show up in
+    /// another's `stats` output.
     fn with_files<T>(f: impl FnOnce(&Path) -> T) -> T {
-        let dir = std::env::temp_dir().join(format!("manta-cli-test-{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        static TELEMETRY: Mutex<()> = Mutex::new(());
+        let _serial = TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner);
+        let dir = std::env::temp_dir().join(format!(
+            "manta-cli-test-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = fs::create_dir_all(&dir);
         let r = f(&dir);
         let _ = fs::remove_dir_all(&dir);
@@ -1380,10 +1379,13 @@ func main(0) -> ret {
             assert!(out.contains("cache: 0 hits, 0 misses"), "{out}");
             // Summary mode needs --cache-dir, so the line renders zeros here.
             assert!(out.contains("summaries: 0 chunk replays"), "{out}");
-            // Stats drives the compositional points-to solver, so the
-            // partition counters carry live (nonzero) traffic.
-            assert!(out.contains("boundary deltas"), "{out}");
-            assert!(!out.contains("pointsto: 0 partitions"), "{out}");
+            // The heap object flows into `take`'s parameter, so the
+            // points-to line reports a nonempty peak set.
+            let peak = out
+                .lines()
+                .find_map(|l| l.strip_prefix("pointsto: peak |pts| "))
+                .unwrap_or_else(|| panic!("no points-to line in:\n{out}"));
+            assert!(peak.parse::<u64>().unwrap() > 0, "{out}");
 
             // `--stats` writes a JSON report the hand parser accepts.
             let json_path = dir.join("stats.json");

@@ -65,7 +65,7 @@ pub fn spec_fingerprint(spec: &ProjectSpec) -> u64 {
 }
 
 /// The deterministic per-project evaluation outcome persisted by
-/// [`run_suite_cached`]. Contains no wall times: a row served warm is
+/// [`run_suite`]. Contains no wall times: a row served warm is
 /// bit-identical to the row computed cold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EvalRow {
@@ -226,34 +226,7 @@ fn row_key(spec: &ProjectSpec, config: &MantaConfig, budget: BudgetSpec) -> Key 
 /// failures land in [`CachedSuite::failures`] instead of aborting the
 /// suite.
 pub fn run_suite(specs: Vec<ProjectSpec>, engine: &Engine) -> CachedSuite {
-    run_suite_impl(specs, engine, engine.cache())
-}
-
-/// Evaluates `specs` under `config`, serving unchanged projects from
-/// `cache` and building only the misses.
-#[deprecated(
-    note = "build an `Engine` with `EngineBuilder::budget` + `EngineBuilder::cache`/`cache_dir` \
-            and call `run_suite`"
-)]
-pub fn run_suite_cached(
-    specs: Vec<ProjectSpec>,
-    config: MantaConfig,
-    budget: BudgetSpec,
-    cache: &AnalysisCache,
-) -> CachedSuite {
-    let engine = Engine::builder()
-        .config(config)
-        .budget(budget)
-        .build()
-        .expect("cacheless engine build is infallible");
-    run_suite_impl(specs, &engine, Some(cache))
-}
-
-fn run_suite_impl(
-    specs: Vec<ProjectSpec>,
-    engine: &Engine,
-    cache: Option<&AnalysisCache>,
-) -> CachedSuite {
+    let cache = engine.cache();
     let config = *engine.config();
     let budget = *engine.budget();
     let (load, hits) = load_specs_cached(specs, budget, cache, &config, engine.strict());
@@ -270,11 +243,7 @@ fn run_suite_impl(
     let bypass = manta_resilience::plan_active() || budget.deadline_ms.is_some() || engine.strict();
     let mut fresh: Vec<(usize, EvalRow)> = Vec::new();
     for (order, project) in &load.projects {
-        let outcome = match cache {
-            Some(c) => engine.analyze_with_cache(&project.analysis, c),
-            None => engine.analyze(&project.analysis),
-        };
-        let result = match outcome {
+        let result = match engine.analyze(&project.analysis) {
             Ok(r) => r,
             Err(error) => {
                 // Only strict engines error; record the project and move on.
@@ -436,6 +405,7 @@ mod tests {
 
     #[test]
     fn warm_run_skips_builds_and_matches_cold_bit_for_bit() {
+        let _l = crate::runner::fault_lock();
         let dir = temp_dir("warm");
         let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
         let engine = engine_for(&cache);
@@ -452,6 +422,7 @@ mod tests {
 
     #[test]
     fn seed_edit_rebuilds_only_the_edited_project() {
+        let _l = crate::runner::fault_lock();
         let dir = temp_dir("edit");
         let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
         let engine = engine_for(&cache);
@@ -470,6 +441,7 @@ mod tests {
 
     #[test]
     fn corrupt_row_entry_degrades_and_recomputes() {
+        let _l = crate::runner::fault_lock();
         let dir = temp_dir("corrupt");
         let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
         let engine = engine_for(&cache);

@@ -11,8 +11,8 @@
 //! This module is the shared home for that shape. It used to live as a
 //! `pub(crate)` helper inside `manta::summaries` (with the engine's
 //! batch scheduler reaching into it — an inverted layering); now the
-//! summary driver, the partitioned points-to solver, and
-//! `Engine::analyze_batch` all schedule through this API.
+//! summary driver and `Engine::analyze_batch` both schedule through
+//! this API.
 //!
 //! The condensation here is deliberately self-contained (this crate
 //! depends only on `manta-telemetry`) and matches the deterministic

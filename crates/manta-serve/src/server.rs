@@ -723,26 +723,10 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
         };
     };
     let budget = clamp_budget(request.budget(), &shared.config);
-    // A per-request engine: same config and shared cache, this
-    // request's sensitivity and clamped budget.
-    let mut builder = Engine::builder()
-        .config(*shared.engine.config())
-        .sensitivity(*sensitivity)
-        .budget(budget)
-        .strict(shared.engine.strict());
-    if let Some(cache) = shared.engine.cache_handle() {
-        builder = builder.cache(cache);
-    }
-    let session = match builder.build() {
-        Ok(engine) => engine,
-        Err(e) => {
-            return Response::Error {
-                error: MantaError::Verify {
-                    message: e.to_string(),
-                },
-            }
-        }
-    };
+    // A per-request view of the daemon's engine: every option and the
+    // shared cache carry over; only sensitivity and budget are this
+    // request's.
+    let session = shared.engine.with_request(*sensitivity, budget);
 
     let outcome = isolate("serve.dispatch", || {
         fault_point("serve.dispatch");

@@ -39,14 +39,14 @@ use std::sync::Mutex;
 
 use manta_analysis::{ModuleAnalysis, ObjectId, VarRef};
 use manta_ir::{printer, FuncId, InstId, Type, ValueId, Width};
-use manta_resilience::{BudgetSpec, Degradation, DegradationKind};
+use manta_resilience::{Degradation, DegradationKind};
 use manta_store::{
     hash_str, ByteReader, ByteWriter, DecodeError, DepGraph, Fingerprint, Key, OpenOutcome, Store,
     StoreError,
 };
 
 use crate::interval::TypeInterval;
-use crate::{ClassCounts, InferenceResult, Manta, MantaConfig, Sensitivity, Stage, VarClass};
+use crate::{ClassCounts, InferenceResult, MantaConfig, Sensitivity, Stage, VarClass};
 
 /// Version of the payload encoding in this module. Folded into every
 /// config hash, so bumping it orphans (rather than misreads) entries
@@ -768,62 +768,10 @@ fn decode_index(payload: &[u8]) -> Result<FunctionIndex, DecodeError> {
     Ok(FunctionIndex { module, functions })
 }
 
-impl Manta {
-    /// Cache-aware [`Manta::infer`]: serves a stored result when the
-    /// `(module fingerprint, config hash)` key hits, computes and
-    /// persists otherwise. Bypasses the cache entirely while a
-    /// fault-injection plan is active.
-    #[deprecated(
-        note = "build an `Engine` with a cache (`EngineBuilder::cache_dir` or \
-                `EngineBuilder::cache`) and call `Engine::analyze`"
-    )]
-    pub fn infer_cached(
-        &self,
-        analysis: &ModuleAnalysis,
-        cache: &AnalysisCache,
-    ) -> InferenceResult {
-        match crate::Engine::new(*self.config()).analyze_with_cache(analysis, cache) {
-            Ok(r) => r,
-            Err(_) => unreachable!("non-strict engines convert failures to degradations"),
-        }
-    }
-
-    /// Cache-aware [`Manta::infer_resilient`]. The fuel limit is part of
-    /// the key (fuel-degraded results are deterministic); deadline
-    /// budgets bypass the cache (wall-clock cutoffs are not), as do
-    /// active fault-injection plans. Degraded results are recomputed
-    /// rather than persisted, so a later run with the same key but a
-    /// healthier environment is never served a stale degradation.
-    #[deprecated(
-        note = "build an `Engine` with a budget and a cache (`EngineBuilder::budget` + \
-                `EngineBuilder::cache_dir`/`cache`) and call `Engine::analyze`"
-    )]
-    pub fn infer_resilient_cached(
-        &self,
-        analysis: &ModuleAnalysis,
-        spec: &BudgetSpec,
-        cache: &AnalysisCache,
-    ) -> InferenceResult {
-        let engine = crate::Engine {
-            config: *self.config(),
-            budget: *spec,
-            strict: false,
-            provenance: false,
-            summaries: false,
-            partitioned_pointsto: false,
-            cache: None,
-        };
-        match engine.analyze_with_cache(analysis, cache) {
-            Ok(r) => r,
-            Err(_) => unreachable!("non-strict engines convert failures to degradations"),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::Manta;
     use manta_ir::{BinOp, ModuleBuilder, Width};
 
     fn sample_module(mul: bool) -> manta_ir::Module {
@@ -844,6 +792,17 @@ mod tests {
         gb.ret(None);
         mb.finish_function(gb);
         mb.finish()
+    }
+
+    /// One analysis through an engine reading and writing `cache`.
+    fn run_cached(
+        config: MantaConfig,
+        analysis: &ModuleAnalysis,
+        cache: &AnalysisCache,
+    ) -> InferenceResult {
+        crate::Engine::new(config)
+            .analyze_with_cache(analysis, cache)
+            .unwrap()
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -869,9 +828,8 @@ mod tests {
         let dir = temp_dir("warmhit");
         let cache = AnalysisCache::open(&dir).unwrap();
         let analysis = ModuleAnalysis::build(sample_module(true));
-        let m = Manta::new(MantaConfig::full());
-        let cold = m.infer_cached(&analysis, &cache);
-        let warm = m.infer_cached(&analysis, &cache);
+        let cold = run_cached(MantaConfig::full(), &analysis, &cache);
+        let warm = run_cached(MantaConfig::full(), &analysis, &cache);
         assert!(results_identical(&cold, &warm));
         // Two gets per analyze: the per-module function index (synced by
         // the engine driver) and the inference entry itself.
@@ -918,17 +876,16 @@ mod tests {
         let dir = temp_dir("inval");
         let cache = AnalysisCache::open(&dir).unwrap();
         let before = ModuleAnalysis::build(sample_module(true));
-        let m = Manta::new(MantaConfig::full());
         cache.sync_module(&before);
-        let _ = m.infer_cached(&before, &cache);
+        let _ = run_cached(MantaConfig::full(), &before, &cache);
         assert_eq!(cache.store().len(), 2, "index + infer entry");
 
         let after = ModuleAnalysis::build(sample_module(false));
         let sync = cache.sync_module(&after);
         assert!(sync.invalidated >= 1, "{sync:?}");
         // The old infer entry is gone; a fresh one lands under a new key.
-        let warm = m.infer_cached(&after, &cache);
-        let direct = m.infer(&after);
+        let warm = run_cached(MantaConfig::full(), &after, &cache);
+        let direct = Manta::new(MantaConfig::full()).infer(&after);
         assert!(results_identical(&warm, &direct));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -938,18 +895,17 @@ mod tests {
         let dir = temp_dir("corrupt");
         let cache = AnalysisCache::open(&dir).unwrap();
         let analysis = ModuleAnalysis::build(sample_module(true));
-        let m = Manta::new(MantaConfig::full());
-        let cold = m.infer_cached(&analysis, &cache);
+        let cold = run_cached(MantaConfig::full(), &analysis, &cache);
 
         // Rewrite the entry with a checksum-valid but undecodable
         // payload: the store serves it, the codec must reject it.
         let key = Key::new(
             "infer",
             module_fingerprint(analysis.module()),
-            config_hash(m.config(), None),
+            config_hash(&MantaConfig::full(), None),
         );
         cache.store().put(&key, b"not an inference result").unwrap();
-        let warm = m.infer_cached(&analysis, &cache);
+        let warm = run_cached(MantaConfig::full(), &analysis, &cache);
         assert!(results_identical(&cold, &warm), "recomputed, not stale");
         let degs = cache.take_degradations();
         assert_eq!(degs.len(), 1);

@@ -16,12 +16,9 @@
 //!   count, and an optional [`AnalysisCache`], it applies every
 //!   cross-cutting concern exactly once, in one loop, for every stage.
 //!
-//! [`Engine::analyze`] replaces `infer` / `infer_resilient` /
-//! `infer_strict` / `infer_cached` / `infer_resilient_cached`;
-//! [`Engine::analyze_batch`] adds whole-module scheduling across the
-//! work-stealing pool on top. The legacy entrypoints survive as thin
-//! deprecated shims over this module and are bit-identical to it (see
-//! `tests/engine_parity.rs`).
+//! [`Engine::analyze`] is the one entry for plain, budgeted, strict
+//! and cached inference; [`Engine::analyze_batch`] adds whole-module
+//! scheduling across the work-stealing pool on top.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -186,10 +183,7 @@ fn budget_error(site: &'static str, e: BudgetExceeded) -> MantaError {
 
 /// Builds the analysis substrate (preprocess → call graph → points-to →
 /// DDG) from a raw module.
-struct SubstrateStage {
-    /// Solve points-to with the compositional partitioned solver.
-    partitioned: bool,
-}
+struct SubstrateStage;
 
 impl Stage for SubstrateStage {
     fn name(&self) -> &'static str {
@@ -213,12 +207,9 @@ impl Stage for SubstrateStage {
             SubstrateSlot::Pending(m) => m.take().expect("substrate stage ran twice"),
             _ => return Ok(()),
         };
-        let analysis = ModuleAnalysis::build_budgeted_with(
+        let analysis = ModuleAnalysis::build_budgeted(
             module,
-            manta_analysis::BuildOptions {
-                partitioned_pointsto: self.partitioned,
-                ..manta_analysis::BuildOptions::default()
-            },
+            manta_analysis::PreprocessConfig::default(),
             ctx.budget,
         )?;
         ctx.substrate = SubstrateSlot::Built(Box::new(analysis));
@@ -413,7 +404,6 @@ pub struct EngineBuilder {
     telemetry: Option<bool>,
     provenance: Option<bool>,
     summaries: bool,
-    partitioned_pointsto: bool,
     cache_dir: Option<PathBuf>,
     cache: Option<Arc<AnalysisCache>>,
 }
@@ -513,19 +503,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Solves points-to with the compositional partitioned solver:
-    /// per-function constraint partitions with explicit boundary
-    /// interfaces, scheduled callees-first as call-graph wavefronts
-    /// with each partition's local fixpoint an independent parallel
-    /// job. Results are bit-identical to the monolithic delta solver
-    /// (pinned by the differential suite); the win is batch-mode
-    /// wall-clock on multi-core hosts and incremental re-solves.
-    #[must_use]
-    pub fn partitioned_pointsto(mut self, enabled: bool) -> Self {
-        self.partitioned_pointsto = enabled;
-        self
-    }
-
     /// Opens (or initializes) a persistent [`AnalysisCache`] in `dir`
     /// at build time.
     #[must_use]
@@ -570,7 +547,6 @@ impl EngineBuilder {
             strict: self.strict,
             provenance: self.provenance.unwrap_or(false),
             summaries: self.summaries,
-            partitioned_pointsto: self.partitioned_pointsto,
             cache,
         })
     }
@@ -590,7 +566,6 @@ pub struct Engine {
     pub(crate) strict: bool,
     pub(crate) provenance: bool,
     pub(crate) summaries: bool,
-    pub(crate) partitioned_pointsto: bool,
     pub(crate) cache: Option<Arc<AnalysisCache>>,
 }
 
@@ -602,7 +577,6 @@ impl fmt::Debug for Engine {
             .field("strict", &self.strict)
             .field("provenance", &self.provenance)
             .field("summaries", &self.summaries)
-            .field("partitioned_pointsto", &self.partitioned_pointsto)
             .field("cache", &self.cache.is_some())
             .finish()
     }
@@ -618,7 +592,6 @@ impl Engine {
             strict: false,
             provenance: false,
             summaries: false,
-            partitioned_pointsto: false,
             cache: None,
         }
     }
@@ -648,32 +621,23 @@ impl Engine {
         self.provenance
     }
 
-    /// Whether the substrate solves points-to with the partitioned
-    /// solver.
-    pub fn partitioned_pointsto(&self) -> bool {
-        self.partitioned_pointsto
-    }
-
     /// The attached persistent cache, if any.
     pub fn cache(&self) -> Option<&AnalysisCache> {
         self.cache.as_deref()
     }
 
-    /// The attached cache as a shareable handle, for callers that hold
-    /// the cache beyond one engine's lifetime (a daemon publishing
-    /// store stats after its sessions end).
-    pub fn cache_handle(&self) -> Option<Arc<AnalysisCache>> {
-        self.cache.clone()
-    }
-
-    /// A per-session view of this engine with its own budget: shares
-    /// the configuration, strictness and the attached cache (the `Arc`
-    /// is cloned, not the store), overriding only the budget spec. A
+    /// A per-request view of this engine: every option (config knobs
+    /// other than sensitivity, strictness, provenance, summaries and the
+    /// attached cache — the `Arc` is cloned, not the store) carries
+    /// over; only the sensitivity and the budget spec are replaced. A
     /// multi-tenant server derives one per request so an abusive
     /// client's budget cannot leak into its neighbors'.
     #[must_use]
-    pub fn with_budget_spec(&self, budget: BudgetSpec) -> Engine {
+    pub fn with_request(&self, sensitivity: Sensitivity, budget: BudgetSpec) -> Engine {
+        let mut config = self.config;
+        config.sensitivity = sensitivity;
         Engine {
+            config,
             budget,
             ..self.clone()
         }
@@ -725,8 +689,7 @@ impl Engine {
 
     /// Like [`Engine::analyze`] but reading and writing through an
     /// explicitly provided cache instead of the engine's own — for
-    /// callers that manage cache lifetime themselves (the eval runner's
-    /// legacy entrypoints).
+    /// callers that manage cache lifetime themselves.
     ///
     /// # Errors
     ///
@@ -770,12 +733,7 @@ impl Engine {
         budget: &Budget,
     ) -> Result<ModuleAnalysis, MantaError> {
         let mut ctx = StageCtx::pending(module, self.config, budget);
-        Self::run_stage(
-            &SubstrateStage {
-                partitioned: self.partitioned_pointsto,
-            },
-            &mut ctx,
-        )?;
+        Self::run_stage(&SubstrateStage, &mut ctx)?;
         match ctx.substrate {
             SubstrateSlot::Built(analysis) => Ok(*analysis),
             _ => unreachable!("substrate stage builds the analysis or errors"),
@@ -793,8 +751,8 @@ impl Engine {
         analyses: &[ModuleAnalysis],
     ) -> Vec<Result<InferenceResult, MantaError>> {
         // Modules are mutually independent, so the batch is one
-        // wavefront on the shared scheduler the summary driver and the
-        // partitioned points-to solver use for their per-level dispatch.
+        // wavefront on the shared scheduler the summary driver uses for
+        // its per-level dispatch.
         let jobs: Vec<&ModuleAnalysis> = analyses.iter().collect();
         manta_parallel::wavefront::wavefront_dispatch(vec![jobs], "engine.batch_wavefronts", |a| {
             self.analyze(a)
@@ -999,6 +957,56 @@ mod tests {
         assert!(engine.budget().is_unlimited());
         assert!(!engine.strict());
         assert!(engine.cache().is_none());
+    }
+
+    #[test]
+    fn with_request_replaces_only_sensitivity_and_budget() {
+        let dir = std::env::temp_dir().join(format!(
+            "manta-engine-test-{}-with-request",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+        let parent = Engine {
+            config: MantaConfig {
+                max_ctx_depth: 7,
+                strong_updates: false,
+                ..MantaConfig::full()
+            },
+            budget: BudgetSpec {
+                fuel: Some(10),
+                deadline_ms: None,
+            },
+            strict: true,
+            provenance: true,
+            summaries: true,
+            cache: Some(Arc::clone(&cache)),
+        };
+        let budget = BudgetSpec {
+            fuel: Some(500),
+            deadline_ms: Some(250),
+        };
+        let child = parent.with_request(Sensitivity::Fi, budget);
+        assert_eq!(child.config.sensitivity, Sensitivity::Fi);
+        assert_eq!(child.budget, budget);
+        assert_eq!(
+            parent.config,
+            MantaConfig {
+                sensitivity: parent.config.sensitivity,
+                ..child.config
+            }
+        );
+        assert_eq!(
+            (child.strict, child.provenance, child.summaries),
+            (parent.strict, parent.provenance, parent.summaries)
+        );
+        let shared = child.cache.as_ref().expect("cache carried over");
+        assert!(
+            Arc::ptr_eq(shared, &cache),
+            "the store is shared, not reopened"
+        );
+        drop((parent, child, cache));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //! component sits at a topological level, and every level's chunks
 //! dispatch across the `manta-parallel` pool as one wavefront
 //! ([`manta_parallel::wavefront::wavefront_dispatch`] — the shared
-//! scheduler layer also used by the partitioned points-to solver and
-//! `Engine::analyze_batch`). Chunks are pure against the frozen
+//! scheduler layer also used by `Engine::analyze_batch`). Chunks are pure against the frozen
 //! pre-stage result, so wavefronts bound nothing semantically — they
 //! shape the schedule (summaries are the only cross-shard traffic) and
 //! feed the `summary.wavefront*` telemetry.
@@ -165,9 +164,7 @@ struct State {
     /// function's interface (parameters and returns) in stable object
     /// keys. A function whose boundary fingerprint changed since the
     /// state was written has different cross-function points-to facts,
-    /// so its callers' chunks are force-dirtied — the summary-mode
-    /// analogue of the partitioned solver re-solving an edited
-    /// partition plus the callers its boundary deltas dirty.
+    /// so its callers' chunks are force-dirtied.
     boundary_fps: Vec<(u64, u64)>,
     stages: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
 }
@@ -431,8 +428,7 @@ impl Inputs {
     /// Per-function points-to *boundary* fingerprints: the points-to
     /// sets of the function's parameters and returned values, in stable
     /// object keys. This is exactly the slice of points-to facts the
-    /// function exchanges with its callers — the summary-state analogue
-    /// of the partitioned solver's boundary slots.
+    /// function exchanges with its callers.
     fn boundary_fps(&self, analysis: &ModuleAnalysis) -> Vec<u64> {
         let module = analysis.module();
         let pts = &analysis.pointsto;
@@ -701,8 +697,7 @@ pub(crate) fn solve_with(
     // different facts with its callers, so every caller's chunk is
     // force-dirtied (in addition to ordinary footprint validation —
     // forcing extra recomputes is always sound because recompute is
-    // deterministic and bit-identical). This mirrors the partitioned
-    // solver: an edited partition's boundary deltas dirty its callers.
+    // deterministic and bit-identical).
     let boundary_now = {
         manta_telemetry::span!("summary.boundary_fps");
         inputs.boundary_fps(analysis)

@@ -1,32 +1,17 @@
-//! Bit-identity of the staged [`Engine`] pipeline against the legacy
-//! `infer_*` entrypoint matrix it replaced.
-//!
-//! Every legacy path — plain, resilient, strict, cached, resilient
-//! cached — must produce exactly the bytes the engine produces for the
-//! same configuration: same variable/object/site maps, same stage
-//! counts, same degradation records. Identity is checked through
-//! [`manta::cache::results_identical`], i.e. over the full canonical
-//! encoding (which includes degradations), across sensitivities, fuel
-//! budgets, thread counts, and warm/cold caches.
-
-#![allow(deprecated)]
+//! Bit-identity of the staged [`Engine`] pipeline across the ways it
+//! can be driven: pool sizes, batch vs single-module entrypoints, and
+//! provenance recording on or off, cold and warm through the cache.
+//! Identity is checked through [`manta::cache::results_identical`], i.e.
+//! over the full canonical encoding (which includes degradations).
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use manta::cache::results_identical;
-use manta::{AnalysisCache, Engine, Manta, MantaConfig, Sensitivity};
+use manta::{AnalysisCache, Engine, Manta, MantaConfig};
 use manta_analysis::ModuleAnalysis;
-use manta_resilience::{Budget, BudgetSpec, MantaError};
+use manta_resilience::BudgetSpec;
 use manta_workloads::{PhenomenonMix, ProjectSpec};
-
-const SENSITIVITIES: [Sensitivity; 5] = [
-    Sensitivity::Fi,
-    Sensitivity::Fs,
-    Sensitivity::FiFs,
-    Sensitivity::FiCsFs,
-    Sensitivity::FiFsCs,
-];
 
 /// Serializes tests that flip the process-global pool size.
 fn lock() -> MutexGuard<'static, ()> {
@@ -66,145 +51,6 @@ fn suite() -> Vec<ModuleAnalysis> {
     let load = manta_eval::load_specs_checked(specs, BudgetSpec::default());
     assert!(load.failures.is_empty(), "suite must build cleanly");
     load.projects.into_iter().map(|p| p.analysis).collect()
-}
-
-/// `Manta::infer` and the deprecated `infer_resilient` agree with the
-/// engine for every sensitivity over the whole suite.
-#[test]
-fn plain_and_resilient_paths_match_the_engine() {
-    for analysis in &suite() {
-        for sens in SENSITIVITIES {
-            let config = MantaConfig::with_sensitivity(sens);
-            let manta = Manta::new(config);
-            let engine = Engine::new(config);
-            let via_engine = engine.analyze(analysis).expect("non-strict cannot fail");
-            assert!(
-                results_identical(&manta.infer(analysis), &via_engine),
-                "{sens:?}: infer != Engine::analyze"
-            );
-            assert!(
-                results_identical(
-                    &manta.infer_resilient(analysis, &Budget::unlimited()),
-                    &via_engine
-                ),
-                "{sens:?}: unlimited infer_resilient != Engine::analyze"
-            );
-        }
-    }
-}
-
-/// Fuel exhaustion degrades to exactly the same tier with exactly the
-/// same surviving maps through both entrypoints, at every fuel level.
-#[test]
-fn fuel_budgets_degrade_identically_through_both_paths() {
-    let manta = Manta::new(MantaConfig::full());
-    let engine = Engine::new(MantaConfig::full());
-    for analysis in &suite() {
-        for fuel in [0u64, 50, 500, 5_000, 50_000, u64::MAX] {
-            let legacy = manta.infer_resilient(analysis, &Budget::with_fuel(fuel));
-            let staged = engine
-                .analyze_with_budget(analysis, &Budget::with_fuel(fuel))
-                .expect("non-strict cannot fail");
-            assert!(
-                results_identical(&legacy, &staged),
-                "fuel {fuel}: infer_resilient != Engine::analyze_with_budget"
-            );
-        }
-    }
-}
-
-/// `infer_strict` and a strict engine agree on both sides of the
-/// Ok/Err boundary: identical results with enough fuel, the same
-/// structured error without.
-#[test]
-fn strict_path_matches_a_strict_engine_on_success_and_failure() {
-    let analysis = &suite()[0];
-    let manta = Manta::new(MantaConfig::full());
-    let engine = Engine::builder()
-        .config(MantaConfig::full())
-        .strict(true)
-        .build()
-        .expect("cacheless engine cannot fail to build");
-
-    let legacy = manta
-        .infer_strict(analysis, &Budget::unlimited())
-        .expect("unlimited strict run succeeds");
-    let staged = engine
-        .analyze_with_budget(analysis, &Budget::unlimited())
-        .expect("unlimited strict run succeeds");
-    assert!(results_identical(&legacy, &staged));
-
-    let legacy_err = manta
-        .infer_strict(analysis, &Budget::with_fuel(0))
-        .expect_err("zero fuel must error");
-    let staged_err = engine
-        .analyze_with_budget(analysis, &Budget::with_fuel(0))
-        .expect_err("zero fuel must error");
-    match (&legacy_err, &staged_err) {
-        (MantaError::Budget { stage: a, kind: ka }, MantaError::Budget { stage: b, kind: kb }) => {
-            assert_eq!(a, b, "exhaustion attributed to the same stage");
-            assert_eq!(ka, kb);
-        }
-        other => panic!("expected two budget errors, got {other:?}"),
-    }
-}
-
-/// Cold and warm cached runs through the deprecated wrappers match the
-/// engine's cache path bit for bit, and both serve the second run from
-/// the store.
-#[test]
-fn cached_paths_match_cold_and_warm() {
-    let analysis = &suite()[1];
-    let manta = Manta::new(MantaConfig::full());
-
-    let legacy_dir = temp_dir("legacy");
-    let staged_dir = temp_dir("staged");
-    let legacy_cache = AnalysisCache::open(&legacy_dir).expect("open cache");
-    let staged_cache = std::sync::Arc::new(AnalysisCache::open(&staged_dir).expect("open cache"));
-    let engine = Engine::builder()
-        .config(MantaConfig::full())
-        .cache(staged_cache.clone())
-        .build()
-        .expect("prebuilt cache cannot fail to attach");
-
-    let cold_legacy = manta.infer_cached(analysis, &legacy_cache);
-    let cold_staged = engine.analyze(analysis).expect("non-strict cannot fail");
-    assert!(
-        results_identical(&cold_legacy, &cold_staged),
-        "cold: infer_cached != cached Engine::analyze"
-    );
-
-    let warm_legacy = manta.infer_cached(analysis, &legacy_cache);
-    let warm_staged = engine.analyze(analysis).expect("non-strict cannot fail");
-    assert!(results_identical(&warm_legacy, &warm_staged), "warm");
-    assert!(
-        results_identical(&cold_staged, &warm_staged),
-        "warm == cold"
-    );
-
-    // The resilient cached wrapper with a fuel budget agrees too (fuel
-    // is part of the key, so this computes a fresh entry).
-    let spec = BudgetSpec {
-        fuel: Some(10_000_000),
-        deadline_ms: None,
-    };
-    let fueled_engine = Engine::builder()
-        .config(MantaConfig::full())
-        .budget(spec)
-        .cache(staged_cache.clone())
-        .build()
-        .expect("prebuilt cache cannot fail to attach");
-    let legacy_fueled = manta.infer_resilient_cached(analysis, &spec, &legacy_cache);
-    let staged_fueled = fueled_engine
-        .analyze(analysis)
-        .expect("non-strict cannot fail");
-    assert!(
-        results_identical(&legacy_fueled, &staged_fueled),
-        "fueled: infer_resilient_cached != cached Engine::analyze"
-    );
-
-    let _ = std::fs::remove_dir_all(&legacy_dir);
-    let _ = std::fs::remove_dir_all(&staged_dir);
 }
 
 /// Engine results are invariant under the pool size, matching the
