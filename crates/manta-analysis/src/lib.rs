@@ -2,7 +2,7 @@
 //!
 //! The binary static-analysis substrate the Manta type inference runs on:
 //!
-//! * [`preprocess`] — the paper's §3 pre-processing: every loop in each
+//! * [`mod@preprocess`] — the paper's §3 pre-processing: every loop in each
 //!   function's CFG is unrolled (twice by default) and back edges on the
 //!   call graph are broken, so all later analyses operate on acyclic
 //!   structures.
@@ -29,14 +29,12 @@ pub mod cfl;
 pub mod ddg;
 pub mod pointsto;
 pub mod preprocess;
-pub mod summary;
 
 pub use callgraph::CallGraph;
 pub use cfl::CtxStack;
 pub use ddg::{CallSite, Ddg, DepKind, NodeId};
 pub use pointsto::{ObjectId, ObjectKind, PointsTo, PointsToProvenance, PtsSource};
 pub use preprocess::{preprocess, PreprocessConfig, Preprocessed};
-pub use summary::{summarize_function, summarize_module, FnSummary, ModuleSummaries};
 
 /// A module-global reference to an SSA value: the pair of its function and
 /// the function-local value id. This is the variable domain `𝕍` shared by
@@ -78,18 +76,13 @@ pub struct ModuleAnalysis {
 }
 
 impl ModuleAnalysis {
-    /// Runs the whole substrate pipeline on `module` with default
-    /// preprocessing configuration.
+    /// Runs the whole substrate pipeline on `module` with the default
+    /// preprocessing configuration and no points-to provenance.
     pub fn build(module: manta_ir::Module) -> ModuleAnalysis {
-        Self::build_with(module, PreprocessConfig::default())
-    }
-
-    /// Runs the whole substrate pipeline with an explicit configuration.
-    pub fn build_with(module: manta_ir::Module, config: PreprocessConfig) -> ModuleAnalysis {
         manta_telemetry::span!("analysis.build");
         let pre = {
             manta_telemetry::span!("preprocess");
-            preprocess(module, config)
+            preprocess(module, PreprocessConfig::default())
         };
         let callgraph = {
             manta_telemetry::span!("callgraph");
@@ -112,7 +105,10 @@ impl ModuleAnalysis {
     }
 
     /// Runs the whole substrate pipeline under a cooperative budget, with
-    /// each stage behind a panic-isolation boundary.
+    /// each stage behind a panic-isolation boundary. `provenance` asks
+    /// the points-to solver to record first derivations
+    /// ([`PointsTo::provenance`]); preprocessing uses the default
+    /// configuration.
     ///
     /// Unlike the inference cascade there is no weaker tier to fall back
     /// to here — inference cannot run without the substrate — so a blown
@@ -129,7 +125,7 @@ impl ModuleAnalysis {
     /// [`MantaError::Panic`]: manta_resilience::MantaError::Panic
     pub fn build_budgeted(
         module: manta_ir::Module,
-        config: PreprocessConfig,
+        provenance: bool,
         budget: &manta_resilience::Budget,
     ) -> Result<ModuleAnalysis, manta_resilience::MantaError> {
         use manta_resilience::{fault_point_budgeted, isolate, MantaError};
@@ -150,7 +146,7 @@ impl ModuleAnalysis {
             isolate("analysis.preprocess", || {
                 fault_point_budgeted("analysis.preprocess", budget);
                 budget.consume(fc)?;
-                Ok(preprocess(module, config))
+                Ok(preprocess(module, PreprocessConfig::default()))
             })?
             .map_err(|e| budget_err("analysis.preprocess", e))?
         };
@@ -167,7 +163,7 @@ impl ModuleAnalysis {
             manta_telemetry::span!("pointsto");
             isolate("analysis.pointsto", || {
                 fault_point_budgeted("analysis.pointsto", budget);
-                PointsTo::solve_budgeted(&pre, &callgraph, budget)
+                PointsTo::solve_budgeted(&pre, &callgraph, provenance, budget)
             })?
             .map_err(|e| budget_err("analysis.pointsto", e))?
         };

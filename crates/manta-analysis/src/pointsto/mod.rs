@@ -16,10 +16,10 @@
 //!
 //! ## Solving
 //!
-//! The production solver ([`DeltaSolver`]) is a delta-propagation worklist
+//! The production solver (`DeltaSolver`) is a delta-propagation worklist
 //! solver in the difference-propagation tradition: nodes live in a dense
 //! `u32` arena (per-function variable bases, then object nodes), points-to
-//! sets are hybrid sorted-vec/bitset [`ObjSet`]s with a `diff`/`union`
+//! sets are hybrid sorted-vec/bitset `ObjSet`s with a `diff`/`union`
 //! API, and each node carries a *delta* — the objects added since the node
 //! was last visited — so the copy/load/store/gep rules only ever process
 //! new objects. Copy edges are deduplicated at insertion, and copy-SCCs
@@ -28,8 +28,8 @@
 //!
 //! The historical whole-set fixpoint solver is kept behind
 //! `#[cfg(any(test, feature = "reference-solver"))]` as
-//! [`PointsTo::solve_reference`] for differential testing: both solvers
-//! consume the same [`Constraints`] and must agree on every points-to
+//! `PointsTo::solve_reference` for differential testing: both solvers
+//! consume the same extracted constraints and must agree on every points-to
 //! relation (object *numbering* of field objects may differ — fields
 //! materialize in solver-visit order — so comparisons go through
 //! [`ObjectKind`] chains, not raw ids).
@@ -136,7 +136,8 @@ pub enum PtsSource {
 }
 
 /// First-derivation provenance of the points-to relation, recorded only
-/// while [`manta_telemetry::provenance_enabled`]. Facts whose node was
+/// when the solve was asked for it ([`PointsTo::solve_budgeted`] with
+/// `provenance` set). Facts whose node was
 /// merged into a copy-SCC representative are recorded under the
 /// representative's variable/object.
 #[derive(Clone, Debug, Default)]
@@ -166,8 +167,7 @@ pub struct PointsTo {
     pub scc_merges: usize,
     /// Largest points-to set cardinality at fixpoint.
     pub peak_pts: usize,
-    /// Derivation provenance; `Some` only when provenance recording was
-    /// on during the solve.
+    /// Derivation provenance; `Some` only when the solve recorded it.
     pub provenance: Option<PointsToProvenance>,
 }
 
@@ -178,7 +178,7 @@ impl PointsTo {
     /// delta-propagation solver.
     pub fn solve(pre: &Preprocessed, _cg: &CallGraph) -> PointsTo {
         let unlimited = manta_resilience::Budget::unlimited();
-        match DeltaSolver::new(pre).run(&unlimited) {
+        match DeltaSolver::new(pre, false).run(&unlimited) {
             Ok(p) => p,
             // A fresh unlimited budget never trips.
             Err(_) => unreachable!("unlimited budget tripped"),
@@ -187,7 +187,10 @@ impl PointsTo {
 
     /// Solves points-to constraints under a cooperative budget. Fuel is
     /// charged per worklist visit and per delta element propagated, so
-    /// runaway fixpoints are cut off mid-flight.
+    /// runaway fixpoints are cut off mid-flight. With `provenance` set
+    /// the solver also records how each fact was first derived
+    /// ([`PointsTo::provenance`]); the relation itself is identical
+    /// either way.
     ///
     /// # Errors
     ///
@@ -197,9 +200,10 @@ impl PointsTo {
     pub fn solve_budgeted(
         pre: &Preprocessed,
         _cg: &CallGraph,
+        provenance: bool,
         budget: &manta_resilience::Budget,
     ) -> Result<PointsTo, manta_resilience::BudgetExceeded> {
-        DeltaSolver::new(pre).run(budget)
+        DeltaSolver::new(pre, provenance).run(budget)
     }
 
     /// Solves with the historical whole-set fixpoint solver. Kept only as
@@ -469,6 +473,6 @@ mod tests {
         let pre = preprocess(mb.finish(), PreprocessConfig::default());
         let cg = CallGraph::build(&pre);
         let b = manta_resilience::Budget::with_fuel(0);
-        assert!(PointsTo::solve_budgeted(&pre, &cg, &b).is_err());
+        assert!(PointsTo::solve_budgeted(&pre, &cg, false, &b).is_err());
     }
 }

@@ -56,7 +56,9 @@ pub(super) struct DeltaSolver<'a> {
 }
 
 impl<'a> DeltaSolver<'a> {
-    pub(super) fn new(pre: &'a Preprocessed) -> Self {
+    /// A solver over `pre`'s constraints; `provenance` turns on
+    /// first-derivation recording.
+    pub(super) fn new(pre: &'a Preprocessed, provenance: bool) -> Self {
         let module = &pre.module;
         let mut var_base = Vec::with_capacity(module.function_count());
         let mut vars = Vec::new();
@@ -88,7 +90,7 @@ impl<'a> DeltaSolver<'a> {
             edges_since_scc: 0,
             total_edges: 0,
             scc_merges: 0,
-            prov: manta_telemetry::provenance_enabled().then(HashMap::new),
+            prov: provenance.then(HashMap::new),
         }
     }
 

@@ -10,8 +10,10 @@
 //!   the early-return branch from run-to-run pipeline noise.
 //!
 //! The estimated disabled overhead must stay under 2% of the pipeline.
+//! A third view times the same pipeline through a provenance-recording
+//! and a non-recording engine, for information only.
 
-use manta::{Manta, MantaConfig};
+use manta::{Engine, Manta, MantaConfig};
 use manta_analysis::ModuleAnalysis;
 use manta_bench::harness;
 use manta_telemetry::{Counter, SpanReport};
@@ -21,6 +23,21 @@ fn pipeline(spec: &generator::GenSpec) -> usize {
     let g = generator::generate(spec);
     let analysis = ModuleAnalysis::build(g.module);
     let result = Manta::new(MantaConfig::full()).infer(&analysis);
+    result.final_counts().total()
+}
+
+/// The same pipeline through an engine that does or does not record
+/// type provenance (substrate derivations and the stage graph).
+fn engine_pipeline(spec: &generator::GenSpec, provenance: bool) -> usize {
+    let g = generator::generate(spec);
+    let engine = Engine::builder()
+        .config(MantaConfig::full())
+        .provenance(provenance)
+        .build()
+        .expect("cacheless engine cannot fail to build");
+    let (_, result) = engine
+        .analyze_module(g.module)
+        .expect("non-strict cannot fail");
     result.final_counts().total()
 }
 
@@ -89,23 +106,13 @@ fn main() {
     );
     println!("telemetry overhead OK (<2% disabled)");
 
-    // Provenance-off leg. The hybrid solver consults the process-global
-    // provenance switch once per solve (then branches on a resident
-    // `Option` per inserted pair), so the off-path cost is the switch
-    // probe itself; the same estimate discipline as above bounds it.
-    // The on/off wall delta is printed for information only — recording
-    // derivations is allowed to cost, the off path is not.
-    manta_telemetry::set_provenance_enabled(false);
-    let prov_off_ns = harness::time(|| pipeline(&spec));
-    manta_telemetry::set_provenance_enabled(true);
-    let prov_on_ns = harness::time(|| pipeline(&spec));
-    manta_telemetry::set_provenance_enabled(false);
-    let prov_check_ns =
-        (harness::time(|| std::hint::black_box(manta_telemetry::provenance_enabled()))
-            - baseline_ns)
-            .max(0.0);
+    // Provenance legs, driven through the engine flag. The on/off wall
+    // delta is printed for information only: recording derivations is
+    // allowed to cost, and a non-recording engine carries a `false`
+    // field rather than probing a process-wide switch.
+    let prov_off_ns = harness::time(|| engine_pipeline(&spec, false));
+    let prov_on_ns = harness::time(|| engine_pipeline(&spec, true));
     let prov_meas_pct = 100.0 * (prov_on_ns - prov_off_ns) / prov_off_ns;
-    let prov_est_pct = 100.0 * prov_check_ns / prov_off_ns;
     println!(
         "bench telemetry/provenance-off             {:>12.3} ms",
         prov_off_ns / 1e6
@@ -115,11 +122,4 @@ fn main() {
         prov_on_ns / 1e6
     );
     println!("bench telemetry/provenance-on-delta        {prov_meas_pct:>11.2} %");
-    println!("bench telemetry/provenance-check           {prov_check_ns:>12.3} ns");
-    println!("bench telemetry/est-provenance-off-ovh     {prov_est_pct:>11.3} %");
-    assert!(
-        prov_est_pct < 2.0,
-        "provenance-off must cost <2% of the pipeline, estimated {prov_est_pct:.3}%"
-    );
-    println!("provenance overhead OK (<2% disabled)");
 }

@@ -108,16 +108,6 @@ struct PipelineBench {
     walls: Vec<(usize, f64)>,
     speedup_at_2: f64,
     speedup_at_4: f64,
-    batch: BatchBench,
-}
-
-/// Whole-module batch scheduling: `Engine::analyze_batch` over the
-/// prepared suite vs an element-wise sequential loop.
-struct BatchBench {
-    threads: usize,
-    sequential_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
 }
 
 /// Paired repetitions per solver measurement. Reference and delta runs
@@ -298,59 +288,11 @@ fn bench_pipeline(limit: Option<usize>) -> PipelineBench {
     let speedup_at_2 = wall_at(1) / wall_at(2).max(1e-6);
     let speedup_at_4 = wall_at(1) / wall_at(4).max(1e-6);
     println!("pipeline speedup: {speedup_at_2:.2}x @2, {speedup_at_4:.2}x @4 ({cores} cores)");
-    let batch = bench_batch(&engine, &specs, cores);
     PipelineBench {
         cores,
         walls,
         speedup_at_2,
         speedup_at_4,
-        batch,
-    }
-}
-
-/// Pool size the batch leg schedules whole-module jobs across.
-const BATCH_THREADS: usize = 8;
-
-/// Measures whole-module batch scheduling: the suite's prepared
-/// analyses run element-wise on one thread, then as one
-/// [`Engine::analyze_batch`] across the pool. Substrate building is
-/// excluded — this isolates the scheduling win of module-level jobs.
-fn bench_batch(
-    engine: &Engine,
-    specs: &[manta_workloads::ProjectSpec],
-    cores: usize,
-) -> BatchBench {
-    let load = manta_eval::runner::load_specs_checked(
-        specs.to_vec(),
-        manta_resilience::BudgetSpec::default(),
-    );
-    assert!(load.is_clean(), "suite must build: {:?}", load.failures);
-    let analyses: Vec<_> = load.projects.into_iter().map(|p| p.analysis).collect();
-
-    manta_parallel::set_threads(1);
-    let start = Instant::now();
-    for a in &analyses {
-        let _ = engine.analyze(a);
-    }
-    let sequential_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    manta_parallel::set_threads(BATCH_THREADS);
-    let start = Instant::now();
-    let results = engine.analyze_batch(&analyses);
-    let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(results.len(), analyses.len());
-    manta_parallel::set_threads(0);
-
-    let speedup = sequential_ms / parallel_ms.max(1e-6);
-    println!(
-        "batch    threads={BATCH_THREADS} sequential {sequential_ms:9.2} ms  \
-         batch {parallel_ms:9.2} ms  {speedup:6.2}x ({cores} cores)"
-    );
-    BatchBench {
-        threads: BATCH_THREADS,
-        sequential_ms,
-        parallel_ms,
-        speedup,
     }
 }
 
@@ -415,17 +357,6 @@ fn render_pipeline(b: &PipelineBench) -> String {
     w.float(b.speedup_at_2);
     w.key("speedup_at_4");
     w.float(b.speedup_at_4);
-    w.key("batch");
-    w.begin_object();
-    w.key("threads");
-    w.uint(b.batch.threads as u64);
-    w.key("sequential_ms");
-    w.float(b.batch.sequential_ms);
-    w.key("parallel_ms");
-    w.float(b.batch.parallel_ms);
-    w.key("speedup");
-    w.float(b.batch.speedup);
-    w.end_object();
     w.end_object();
     w.finish()
 }
@@ -495,52 +426,5 @@ fn check_regressions(
     } else {
         println!("skipping thread-scaling guard (single-core host or baseline)");
     }
-    // The batch-scheduling guard: whole-module jobs across the pool
-    // must beat the sequential loop by BATCH_SPEEDUP_FLOOR on real
-    // parallel hardware. Baselines recorded before the batch leg
-    // existed are tolerated (no `batch` object → skip).
-    let base_batch = base_pipe
-        .get("batch")
-        .and_then(|b| b.get("speedup"))
-        .and_then(JsonValue::as_f64);
-    if pipeline.cores < 4 {
-        // A skipped guard must be impossible to miss in a green CI log:
-        // the >= 1.5x batch-speedup contract was NOT checked on this
-        // host. `::warning::` renders as an annotation on GitHub
-        // runners; the stderr banner covers every other harness.
-        println!(
-            "::warning title=batch guard skipped::host has {} cores; \
-             the >= {BATCH_SPEEDUP_FLOOR}x analyze_batch speedup guard needs 4",
-            pipeline.cores
-        );
-        eprintln!(
-            "##############################################################\n\
-             # BATCH GUARD SKIPPED: host has {} cores (needs >= 4).       \n\
-             # The >= {BATCH_SPEEDUP_FLOOR}x analyze_batch speedup contract was NOT verified. \n\
-             ##############################################################",
-            pipeline.cores
-        );
-    } else if base_batch.is_none() {
-        println!("skipping batch baseline comparison (baseline has no batch leg)");
-        if pipeline.batch.speedup < BATCH_SPEEDUP_FLOOR {
-            eprintln!(
-                "REGRESSION: batch speedup@{} is {:.2}x, below the {BATCH_SPEEDUP_FLOOR}x floor",
-                pipeline.batch.threads, pipeline.batch.speedup
-            );
-            ok = false;
-        }
-    } else if pipeline.batch.speedup < BATCH_SPEEDUP_FLOOR {
-        eprintln!(
-            "REGRESSION: batch speedup@{} fell to {:.2}x (baseline {:.2}x, floor {BATCH_SPEEDUP_FLOOR}x)",
-            pipeline.batch.threads,
-            pipeline.batch.speedup,
-            base_batch.unwrap_or(f64::NAN)
-        );
-        ok = false;
-    }
     ok
 }
-
-/// Minimum acceptable `analyze_batch` speedup over the sequential loop
-/// at [`BATCH_THREADS`] threads on a multi-core (>= 4) host.
-const BATCH_SPEEDUP_FLOOR: f64 = 1.5;

@@ -33,11 +33,6 @@ pub fn host_meta() -> HostMeta {
     if cores <= 1 {
         guard_skips.push("thread-scaling guard skipped: single-core host".to_string());
     }
-    if cores < 4 {
-        guard_skips.push(format!(
-            "batch guard skipped: host has {cores} cores; needs >= 4"
-        ));
-    }
     HostMeta {
         cores,
         effective_threads: manta_parallel::threads(),
@@ -80,8 +75,8 @@ mod tests {
         assert_eq!(host.get("cores").unwrap().as_f64(), Some(meta.cores as f64));
         let skips = host.get("guard_skips").unwrap().as_array().unwrap();
         assert_eq!(skips.len(), meta.guard_skips.len());
-        if meta.cores >= 4 {
-            assert!(skips.is_empty(), "full-size hosts skip nothing");
+        if meta.cores > 1 {
+            assert!(skips.is_empty(), "multi-core hosts skip nothing");
         } else {
             assert!(!skips.is_empty(), "small hosts must record why");
         }

@@ -520,7 +520,7 @@ fn make_engine(
         .expect("engine build cannot fail without a cache directory")
 }
 
-/// Builds the analysis substrate through the engine's substrate stage.
+/// Builds the analysis substrate through [`Engine::build_substrate`].
 /// Returns `Ok(None)` when the substrate degraded in non-strict mode —
 /// the message is appended to `out` and the command finishes with
 /// whatever partial output it has.
@@ -878,9 +878,8 @@ fn run_command(
                 return err(USAGE);
             };
             let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
-            // Provenance must be on before the substrate builds so the
-            // points-to solver records its derivations too; the builder
-            // flips the process-global switch, restored below.
+            // The engine's provenance flag reaches the substrate build too,
+            // so the points-to solver records its derivations.
             let mut builder = Engine::builder()
                 .config(MantaConfig::full())
                 .budget(resilience.spec())
@@ -892,22 +891,15 @@ fn run_command(
             let engine = builder
                 .build()
                 .expect("engine build cannot fail without a cache directory");
-            let explained = (|| {
-                let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
-                    return Ok(None);
-                };
-                let (result, graph) = engine
-                    .analyze_explained(&analysis)
-                    .map_err(|e| CliError(format!("inference failed: {e}")))?;
-                for d in &result.degradations {
-                    let _ = writeln!(out, "degraded: {d}");
-                }
-                Ok(Some((analysis, graph)))
-            })();
-            manta_telemetry::set_provenance_enabled(false);
-            let Some((analysis, graph)) = explained? else {
+            let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
             };
+            let (result, graph) = engine
+                .analyze_explained(&analysis)
+                .map_err(|e| CliError(format!("inference failed: {e}")))?;
+            for d in &result.degradations {
+                let _ = writeln!(out, "degraded: {d}");
+            }
             let graph = graph
                 .ok_or_else(|| CliError("provenance-enabled engine produced no graph".into()))?;
             let Some(v) = manta::provenance::resolve_var(analysis.module(), func, var) else {

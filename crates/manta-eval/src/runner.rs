@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use manta_analysis::{ModuleAnalysis, PreprocessConfig};
+use manta_analysis::ModuleAnalysis;
 use manta_resilience::{
     fault_point_keyed, isolate, BudgetSpec, Degradation, DegradationKind, MantaError,
 };
@@ -200,7 +200,7 @@ fn build_unit_checked(
             fault_point_keyed("eval.project", &name);
             let generated = unit.generate();
             let module = reencode(generated.module, encoding)?;
-            ModuleAnalysis::build_budgeted(module, PreprocessConfig::default(), &budget)
+            ModuleAnalysis::build_budgeted(module, false, &budget)
                 .map(|analysis| (analysis, generated.truth))
         })
     });

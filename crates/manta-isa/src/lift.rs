@@ -2,7 +2,7 @@
 //!
 //! This is the reproduction's counterpart of the paper's RetDec stage:
 //! "we utilize binary lifter to translate binary code to LLVM IR, in which
-//! binary registers and arguments are translated to SSA value[s]" (§3).
+//! binary registers and arguments are translated to SSA value\[s\]" (§3).
 //!
 //! Basic blocks are recovered from branch targets, and registers are
 //! renamed to SSA values with the sealed-block algorithm of Braun et al.

@@ -4,19 +4,15 @@
 //! parallelism, following the repo's in-tree-substitutes convention (no
 //! external crates; `std` only).
 //!
-//! Two entry points:
-//!
-//! * [`par_map`] — the workhorse: maps a function over a `Vec` of items
-//!   on a transient work-stealing pool and returns the results **in
-//!   input order** (deterministic reduce). The pipeline uses this for
-//!   its per-function stages; because every merge happens in input
-//!   (function-id) order, parallel output is bit-identical to serial.
-//! * [`scope`] — a scoped pool with [`Scope::spawn`] /
-//!   [`JoinHandle::join`] for irregular task graphs.
+//! One entry point, [`par_map`]: it maps a function over a `Vec` of
+//! items on a transient work-stealing pool and returns the results **in
+//! input order** (deterministic reduce). The pipeline uses this for its
+//! per-function stages; because every merge happens in input
+//! (function-id) order, parallel output is bit-identical to serial.
 //!
 //! The [`wavefront`] module layers dependency-ordered scheduling on top
-//! of `par_map`: SCC condensation plus level-by-level dispatch, shared
-//! by the summary driver and `Engine::analyze_batch`.
+//! of `par_map`: SCC condensation plus level-by-level dispatch, used by
+//! the summary driver.
 //!
 //! ## Determinism contract
 //!
@@ -45,7 +41,7 @@
 //! the configured count to the host's cores ([`effective_threads`]):
 //! oversubscribing a core adds scheduling overhead without speedup, so
 //! `--threads 8` on a single-core box runs inline. With an effective
-//! count of 1 every entry point degenerates to a plain inline loop — no
+//! count of 1 `par_map` degenerates to a plain inline loop — no
 //! threads, no `catch_unwind` — so `--threads 1` *is* the serial
 //! engine, not an emulation of it. Nested calls from inside a worker
 //! also run inline, so recursive parallelism cannot oversubscribe.
@@ -58,7 +54,7 @@ pub mod wavefront;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use manta_telemetry::{Counter, Histogram};
@@ -101,7 +97,7 @@ thread_local! {
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Sets the process-wide worker count used by [`par_map`] and [`scope`].
+/// Sets the process-wide worker count used by [`par_map`].
 /// `0` restores the default (one worker per available core).
 pub fn set_threads(n: usize) {
     CONFIGURED.store(n, Ordering::SeqCst);
@@ -143,7 +139,7 @@ static CORES_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Overrides the detected host core count (`0` restores detection).
 /// Correctness tests use this to exercise the multi-worker path on
 /// single-core CI hosts, where the [`effective_threads`] clamp would
-/// otherwise make every entry point inline. Not part of the stable API.
+/// otherwise make `par_map` inline. Not part of the stable API.
 #[doc(hidden)]
 pub fn override_host_cores(n: usize) {
     CORES_OVERRIDE.store(n, Ordering::SeqCst);
@@ -334,145 +330,8 @@ where
         .collect()
 }
 
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-struct PoolState<'env> {
-    queue: Mutex<(VecDeque<Task<'env>>, bool)>,
-    cv: Condvar,
-}
-
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A handle to a task spawned on a [`Scope`]; resolves to the task's
-/// return value.
-pub struct JoinHandle<R> {
-    slot: Arc<Slot<R>>,
-}
-
-struct Slot<R> {
-    result: Mutex<Option<std::thread::Result<R>>>,
-    cv: Condvar,
-}
-
-impl<R> JoinHandle<R> {
-    /// Blocks until the task finishes and returns its result.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the task's panic on the joining thread (mirroring
-    /// `std::thread::JoinHandle`, but without wrapping in `Result`).
-    pub fn join(self) -> R {
-        let mut guard = lock(&self.slot.result);
-        while guard.is_none() {
-            guard = self
-                .slot
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        // The loop above only exits when the worker stored a result.
-        #[allow(clippy::unwrap_used)]
-        match guard.take().unwrap() {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-/// A scoped task spawner backed by the pool; see [`scope`].
-pub struct Scope<'pool, 'env> {
-    state: &'pool PoolState<'env>,
-}
-
-impl<'pool, 'env> Scope<'pool, 'env> {
-    /// Queues `f` on the pool and returns a [`JoinHandle`] for its
-    /// result. Tasks may borrow from the environment enclosing
-    /// [`scope`] (`'env`).
-    pub fn spawn<R, F>(&self, f: F) -> JoinHandle<R>
-    where
-        R: Send + 'env,
-        F: FnOnce() -> R + Send + 'env,
-    {
-        let slot = Arc::new(Slot {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        let out = Arc::clone(&slot);
-        let task: Task<'env> = Box::new(move || {
-            let r = catch_unwind(AssertUnwindSafe(f));
-            *lock(&out.result) = Some(r);
-            out.cv.notify_all();
-        });
-        {
-            let mut q = lock(&self.state.queue);
-            q.0.push_back(task);
-        }
-        self.state.cv.notify_one();
-        JoinHandle { slot }
-    }
-}
-
-/// Closes the queue even when the scope body panics, so workers always
-/// terminate and `std::thread::scope` can join them.
-struct CloseGuard<'pool, 'env>(&'pool PoolState<'env>);
-
-impl Drop for CloseGuard<'_, '_> {
-    fn drop(&mut self) {
-        lock(&self.0.queue).1 = true;
-        self.0.cv.notify_all();
-    }
-}
-
-/// Runs `body` with a [`Scope`] whose spawned tasks execute on a
-/// transient pool of [`threads`] workers. All tasks complete (or their
-/// panics are parked in their [`JoinHandle`]s) before `scope` returns.
-///
-/// With an effective thread count of 1 the pool still exists (one
-/// worker), so `spawn` + `join` is always safe — `join` never deadlocks
-/// waiting for the spawning thread to run the task.
-pub fn scope<'env, T, F>(body: F) -> T
-where
-    F: FnOnce(&Scope<'_, 'env>) -> T,
-{
-    let workers = threads();
-    let state = PoolState {
-        queue: Mutex::new((VecDeque::new(), false)),
-        cv: Condvar::new(),
-    };
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let state = &state;
-            s.spawn(move || {
-                IN_POOL.with(|c| c.set(true));
-                loop {
-                    let task = {
-                        let mut q = lock(&state.queue);
-                        loop {
-                            if let Some(t) = q.0.pop_front() {
-                                break Some(t);
-                            }
-                            if q.1 {
-                                break None;
-                            }
-                            q = state
-                                .cv
-                                .wait(q)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                    };
-                    match task {
-                        Some(t) => t(),
-                        None => break,
-                    }
-                }
-                IN_POOL.with(|c| c.set(false));
-            });
-        }
-        let _close = CloseGuard(&state);
-        body(&Scope { state: &state })
-    })
 }
 
 #[cfg(test)]
@@ -580,39 +439,6 @@ mod tests {
         assert!(effective_threads() <= host_cores());
         assert!(effective_threads() >= 1);
         set_threads(0);
-    }
-
-    #[test]
-    fn scope_spawn_join_returns_values() {
-        let _l = config_lock();
-        set_threads(3);
-        let data = [1u64, 2, 3];
-        let total = scope(|s| {
-            let a = s.spawn(|| data.iter().sum::<u64>());
-            let b = s.spawn(|| data.len() as u64);
-            a.join() + b.join()
-        });
-        set_threads(0);
-        assert_eq!(total, 9);
-    }
-
-    #[test]
-    fn scope_join_reraises_task_panic() {
-        let _l = config_lock();
-        set_threads(2);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                let h = s.spawn(|| -> u32 { panic!("task died") });
-                h.join()
-            })
-        }));
-        set_threads(0);
-        let msg = r
-            .unwrap_err()
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or_default();
-        assert_eq!(msg, "task died");
     }
 
     #[test]

@@ -1,25 +1,18 @@
 //! Wavefront scheduling over SCC-condensed dependency graphs.
 //!
-//! Several subsystems share the same scheduling shape: a dependency
-//! graph over work units (functions in a call graph, modules in a
-//! batch), condensed into strongly-connected components and arranged
-//! into bottom-up *wavefronts* — levels whose members are mutually
+//! A dependency graph over work units (functions in a call graph) is
+//! condensed into strongly-connected components and arranged into
+//! bottom-up *wavefronts* — levels whose members are mutually
 //! independent and depend only on earlier levels. Each level is then
 //! dispatched across the pool with [`crate::par_map`], and levels run
-//! in order so every unit sees its dependencies' results.
+//! in order so every unit sees its dependencies' results. The summary
+//! driver in `manta::summaries` schedules through this API.
 //!
-//! This module is the shared home for that shape. It used to live as a
-//! `pub(crate)` helper inside `manta::summaries` (with the engine's
-//! batch scheduler reaching into it — an inverted layering); now the
-//! summary driver and `Engine::analyze_batch` both schedule through
-//! this API.
-//!
-//! The condensation here is deliberately self-contained (this crate
-//! depends only on `manta-telemetry`) and matches the deterministic
-//! contract of `manta_store::DepGraph::condense`: SCC ids are ordered
-//! by smallest member, members are sorted, and levels are sorted — the
-//! output is a pure function of the node count and edge set,
-//! independent of DFS traversal details or thread count.
+//! [`condense`] is the workspace's one SCC condenser. It is
+//! deterministic: SCC ids are ordered by smallest member, members are
+//! sorted, and levels are sorted — the output is a pure function of the
+//! node count and edge set, independent of DFS traversal details or
+//! thread count.
 
 /// The SCC condensation of a dependency graph, arranged into bottom-up
 /// wavefronts. Produced by [`condense`].
@@ -38,13 +31,6 @@ pub struct Condensation {
 }
 
 impl Condensation {
-    /// Widths of the wavefronts (number of independent SCCs per level):
-    /// the available parallelism at each scheduling step.
-    #[must_use]
-    pub fn widths(&self) -> Vec<usize> {
-        self.levels.iter().map(Vec::len).collect()
-    }
-
     /// Per-node wavefront level: `node_levels()[n]` is the level of the
     /// SCC containing node `n`. Convenience for callers that schedule
     /// nodes rather than components.
@@ -61,7 +47,7 @@ impl Condensation {
 /// `(from, to)` pairs meaning *`from` depends on `to`* (for a call
 /// graph: caller depends on callee), so level 0 holds the leaves and a
 /// bottom-up sweep visits callees before callers. Edges naming nodes
-/// `>= nodes` are ignored, mirroring `DepGraph::add_dep`.
+/// `>= nodes` are ignored.
 ///
 /// Deterministic: iterative Tarjan in node order; component ids are
 /// relabeled by smallest member and levels assigned from the
@@ -206,8 +192,7 @@ pub fn group_by_level<K: Copy, T>(
 /// one wavefront whose items run concurrently via [`crate::par_map`];
 /// levels run in order. Results come back flattened in input order.
 /// `counter` names the telemetry counter bumped once per dispatched
-/// level (e.g. `"summary.wavefronts"`, `"pointsto.wavefronts"`), so
-/// each consumer keeps its own observability surface.
+/// level (e.g. `"summary.wavefronts"`).
 pub fn wavefront_dispatch<T: Send, R: Send>(
     levels: Vec<Vec<T>>,
     counter: &str,
@@ -240,6 +225,20 @@ mod tests {
         assert_eq!(lvl[3], 0);
     }
 
+    /// On the chain 0→1→2 (+ isolated 3) the bottom-up wavefronts are
+    /// {2, 3}, {1}, {0}: leaves first, each level only depending on
+    /// earlier ones.
+    #[test]
+    fn condense_chain_wavefronts() {
+        let c = condense(4, &[(0, 1), (1, 2)]);
+        assert_eq!(c.sccs.len(), 4);
+        assert_eq!(c.sccs, vec![vec![0], vec![1], vec![2], vec![3]]);
+        assert_eq!(c.levels, vec![vec![2, 3], vec![1], vec![0]]);
+        assert_eq!(c.level_of, vec![2, 1, 0, 0]);
+        let widths: Vec<usize> = c.levels.iter().map(Vec::len).collect();
+        assert_eq!(widths, vec![2, 1, 1]);
+    }
+
     #[test]
     fn condense_collapses_cycles() {
         // 0 <-> 1 form one SCC; 2 depends on the cycle.
@@ -250,6 +249,43 @@ mod tests {
         let lvl = c.node_levels();
         assert_eq!(lvl[0], 0);
         assert!(lvl[2] > lvl[0]);
+    }
+
+    /// A 2-cycle collapses into one SCC with id 0 (smallest member); the
+    /// node depending on the cycle lands exactly one level above it.
+    #[test]
+    fn condense_cycle_ids_and_levels_are_exact() {
+        let c = condense(3, &[(0, 1), (1, 0), (2, 0)]);
+        assert_eq!(c.sccs, vec![vec![0, 1], vec![2]]);
+        assert_eq!(c.scc_of, vec![0, 0, 1]);
+        assert_eq!(c.levels, vec![vec![0], vec![1]]);
+    }
+
+    /// Diamond 0→{1,2}→3: 1 and 2 share a wavefront (independent), with
+    /// 3 below and 0 above.
+    #[test]
+    fn condense_diamond_parallel_level() {
+        let c = condense(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert_eq!(c.levels, vec![vec![3], vec![1, 2], vec![0]]);
+    }
+
+    /// Self-loops are a one-node SCC, not a crash or an extra level.
+    #[test]
+    fn condense_self_loop() {
+        let c = condense(2, &[(0, 0), (1, 0)]);
+        assert_eq!(c.sccs, vec![vec![0], vec![1]]);
+        assert_eq!(c.levels, vec![vec![0], vec![1]]);
+    }
+
+    /// Deep recursion in the DFS must not blow the thread stack: a
+    /// 100k-node chain condenses iteratively.
+    #[test]
+    fn condense_deep_chain_is_iterative() {
+        let n = 100_000u32;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let c = condense(n as usize, &edges);
+        assert_eq!(c.sccs.len(), n as usize);
+        assert_eq!(c.levels.len(), n as usize);
     }
 
     #[test]

@@ -4,19 +4,9 @@
 //! onto them); edges point from a unit to the units it *depends on*
 //! (caller → callee for call-graph dependencies, pointer-user → pointee
 //! allocator for points-to dependencies). Given the set of changed
-//! units, [`DepGraph::dependents`] computes the reverse closure — every
-//! unit whose cached results may be stale — and
-//! [`DepGraph::affected`] the bidirectional closure, the sound dirty
-//! set for whole-module analyses (unification propagates both from
-//! callees to callers and from callers into callees).
-//!
-//! [`DepGraph::closure_hash`] turns per-unit content hashes into
-//! dependency-closure hashes: a unit's key hash covers its own content
-//! plus everything it can reach, so entries keyed this way are
-//! invalidated *by construction* when any dependency changes — the
-//! content-addressed half of the invalidation story.
-
-use crate::hash::Fingerprint;
+//! units, [`DepGraph::affected`] computes the bidirectional closure, the
+//! sound dirty set for whole-module analyses (unification propagates
+//! both from callees to callers and from callers into callees).
 
 /// A directed dependency graph over dense `u32` node indices.
 #[derive(Clone, Debug, Default)]
@@ -58,10 +48,15 @@ impl DepGraph {
         }
     }
 
-    fn closure(&self, seeds: &[u32], edges: impl Fn(u32) -> Vec<u32>) -> Vec<u32> {
+    /// The bidirectional closure of `changed`, sorted — the sound dirty
+    /// set for analyses that propagate information both ways along
+    /// dependency edges (global unification). Out-of-range seeds are
+    /// ignored; cycles terminate.
+    #[must_use]
+    pub fn affected(&self, changed: &[u32]) -> Vec<u32> {
         let mut seen = vec![false; self.deps.len()];
         let mut work: Vec<u32> = Vec::new();
-        for &s in seeds {
+        for &s in changed {
             if (s as usize) < seen.len() && !seen[s as usize] {
                 seen[s as usize] = true;
                 work.push(s);
@@ -70,7 +65,7 @@ impl DepGraph {
         let mut out = Vec::new();
         while let Some(n) = work.pop() {
             out.push(n);
-            for m in edges(n) {
+            for &m in self.rdeps[n as usize].iter().chain(&self.deps[n as usize]) {
                 if !seen[m as usize] {
                     seen[m as usize] = true;
                     work.push(m);
@@ -79,196 +74,6 @@ impl DepGraph {
         }
         out.sort_unstable();
         out
-    }
-
-    /// The reverse closure of `changed` (the changed units plus every
-    /// transitive dependent), sorted. This is the set whose per-unit
-    /// cache entries must be invalidated when `changed` changed.
-    #[must_use]
-    pub fn dependents(&self, changed: &[u32]) -> Vec<u32> {
-        self.closure(changed, |n| self.rdeps[n as usize].clone())
-    }
-
-    /// The bidirectional closure of `changed`, sorted — the sound dirty
-    /// set for analyses that propagate information both ways along
-    /// dependency edges (global unification).
-    #[must_use]
-    pub fn affected(&self, changed: &[u32]) -> Vec<u32> {
-        self.closure(changed, |n| {
-            let mut v = self.rdeps[n as usize].clone();
-            v.extend_from_slice(&self.deps[n as usize]);
-            v
-        })
-    }
-
-    /// Condenses the graph into strongly connected components and
-    /// arranges them into bottom-up wavefronts.
-    ///
-    /// SCC ids are assigned deterministically (ordered by each
-    /// component's smallest member node). `levels[0]` holds the leaf
-    /// SCCs — components depending on nothing outside themselves — and
-    /// `levels[k]` the components whose out-of-component dependencies
-    /// all live in levels `< k`. Scheduling level by level therefore
-    /// guarantees every dependency's result is ready before a component
-    /// runs, while components *within* a level are mutually independent
-    /// and can run concurrently. Cycles (recursion the preprocessor did
-    /// not break, or points-to loops) collapse into a single component
-    /// and are handled as one unit rather than looping forever.
-    #[must_use]
-    pub fn condense(&self) -> Condensation {
-        let n = self.deps.len();
-        const UNSEEN: u32 = u32::MAX;
-        let mut discovery = vec![UNSEEN; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp_of = vec![0u32; n];
-        // Components in Tarjan pop order: a component is completed only
-        // after everything it depends on, so pop order is a bottom-up
-        // topological order of the condensation.
-        let mut comps: Vec<Vec<u32>> = Vec::new();
-        let mut next = 0u32;
-        let mut call: Vec<(u32, usize)> = Vec::new();
-        for root in 0..n as u32 {
-            if discovery[root as usize] != UNSEEN {
-                continue;
-            }
-            call.push((root, 0));
-            while let Some(&(v, ei)) = call.last() {
-                let vi = v as usize;
-                if ei == 0 {
-                    discovery[vi] = next;
-                    low[vi] = next;
-                    next += 1;
-                    stack.push(v);
-                    on_stack[vi] = true;
-                }
-                if ei < self.deps[vi].len() {
-                    if let Some(frame) = call.last_mut() {
-                        frame.1 += 1;
-                    }
-                    let w = self.deps[vi][ei] as usize;
-                    if discovery[w] == UNSEEN {
-                        call.push((w as u32, 0));
-                    } else if on_stack[w] {
-                        low[vi] = low[vi].min(discovery[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(p, _)) = call.last() {
-                        let pi = p as usize;
-                        low[pi] = low[pi].min(low[vi]);
-                    }
-                    if low[vi] == discovery[vi] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w as usize] = false;
-                            comp_of[w as usize] = comps.len() as u32;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        comps.push(comp);
-                    }
-                }
-            }
-        }
-        // Levels in pop order: every out-of-component dependency was
-        // popped earlier, so its level is already final.
-        let mut pop_level = vec![0u32; comps.len()];
-        for (c, members) in comps.iter().enumerate() {
-            for &v in members {
-                for &w in &self.deps[v as usize] {
-                    let d = comp_of[w as usize] as usize;
-                    if d != c {
-                        pop_level[c] = pop_level[c].max(pop_level[d] + 1);
-                    }
-                }
-            }
-        }
-        // Relabel components by smallest member so ids are independent
-        // of DFS traversal details.
-        let mut order: Vec<usize> = (0..comps.len()).collect();
-        order.sort_unstable_by_key(|&c| comps[c].first().copied().unwrap_or(u32::MAX));
-        let mut new_id = vec![0u32; comps.len()];
-        for (pos, &c) in order.iter().enumerate() {
-            new_id[c] = pos as u32;
-        }
-        let mut sccs = vec![Vec::new(); comps.len()];
-        let mut level_of = vec![0u32; comps.len()];
-        let depth = pop_level
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
-        let mut levels = vec![Vec::new(); depth];
-        for (c, members) in comps.into_iter().enumerate() {
-            let id = new_id[c];
-            level_of[id as usize] = pop_level[c];
-            levels[pop_level[c] as usize].push(id);
-            sccs[id as usize] = members;
-        }
-        for l in &mut levels {
-            l.sort_unstable();
-        }
-        let scc_of = comp_of.into_iter().map(|c| new_id[c as usize]).collect();
-        Condensation {
-            scc_of,
-            sccs,
-            level_of,
-            levels,
-        }
-    }
-
-    /// Dependency-closure hashes: `out[n]` covers `content[n]` plus the
-    /// contents of every unit reachable from `n` along dependency
-    /// edges. Deterministic (reachable sets are hashed in index order)
-    /// and cycle-safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `content.len()` differs from the node count.
-    #[must_use]
-    pub fn closure_hash(&self, content: &[u64]) -> Vec<u64> {
-        assert_eq!(content.len(), self.deps.len(), "one hash per node");
-        (0..self.deps.len() as u32)
-            .map(|n| {
-                let reach = self.closure(&[n], |m| self.deps[m as usize].clone());
-                let mut h = Fingerprint::new();
-                h.write_u64(u64::from(n));
-                for r in reach {
-                    h.write_u64(u64::from(r)).write_u64(content[r as usize]);
-                }
-                h.finish()
-            })
-            .collect()
-    }
-}
-
-/// The SCC condensation of a [`DepGraph`], arranged into bottom-up
-/// wavefronts. Produced by [`DepGraph::condense`].
-#[derive(Clone, Debug)]
-pub struct Condensation {
-    /// `scc_of[n]` = the SCC id containing node `n`.
-    pub scc_of: Vec<u32>,
-    /// Members of each SCC, sorted; ids are ordered by smallest member.
-    pub sccs: Vec<Vec<u32>>,
-    /// `level_of[s]` = the wavefront level of SCC `s`.
-    pub level_of: Vec<u32>,
-    /// `levels[k]` = SCC ids at level `k`, sorted. Level 0 components
-    /// depend on nothing outside themselves; level `k` components only
-    /// on levels `< k`. SCCs within one level are mutually independent.
-    pub levels: Vec<Vec<u32>>,
-}
-
-impl Condensation {
-    /// Widths of the wavefronts (number of independent SCCs per level):
-    /// the available parallelism at each scheduling step.
-    #[must_use]
-    pub fn widths(&self) -> Vec<usize> {
-        self.levels.iter().map(Vec::len).collect()
     }
 }
 
@@ -285,16 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn dependents_is_reverse_reachability() {
-        let g = chain();
-        // c changed: b and a are stale, d untouched.
-        assert_eq!(g.dependents(&[2]), vec![0, 1, 2]);
-        // a changed: nothing depends on a.
-        assert_eq!(g.dependents(&[0]), vec![0]);
-        assert_eq!(g.dependents(&[3]), vec![3]);
-    }
-
-    #[test]
     fn affected_is_bidirectional() {
         let g = chain();
         assert_eq!(g.affected(&[1]), vec![0, 1, 2]);
@@ -302,90 +97,12 @@ mod tests {
     }
 
     #[test]
-    fn closure_hash_changes_exactly_for_dependents() {
-        let g = chain();
-        let before = g.closure_hash(&[10, 20, 30, 40]);
-        // Change c's content: a, b, c hashes move; d's must not.
-        let after = g.closure_hash(&[10, 20, 31, 40]);
-        assert_ne!(before[0], after[0]);
-        assert_ne!(before[1], after[1]);
-        assert_ne!(before[2], after[2]);
-        assert_eq!(before[3], after[3]);
-    }
-
-    /// On the chain a→b→c (+ isolated d) the bottom-up wavefronts are
-    /// {c, d}, {b}, {a}: leaves first, each level only depending on
-    /// earlier ones.
-    #[test]
-    fn condense_chain_wavefronts() {
-        let g = chain();
-        let c = g.condense();
-        assert_eq!(c.sccs.len(), 4);
-        assert_eq!(c.sccs, vec![vec![0], vec![1], vec![2], vec![3]]);
-        assert_eq!(c.levels, vec![vec![2, 3], vec![1], vec![0]]);
-        assert_eq!(c.level_of, vec![2, 1, 0, 0]);
-        assert_eq!(c.widths(), vec![2, 1, 1]);
-    }
-
-    /// A 2-cycle collapses into one SCC; a node depending on the cycle
-    /// lands one level above it.
-    #[test]
-    fn condense_collapses_cycles() {
+    fn cycles_terminate() {
         let mut g = DepGraph::new(3);
         g.add_dep(0, 1);
         g.add_dep(1, 0);
-        g.add_dep(2, 0);
-        let c = g.condense();
-        assert_eq!(c.sccs, vec![vec![0, 1], vec![2]]);
-        assert_eq!(c.scc_of, vec![0, 0, 1]);
-        assert_eq!(c.levels, vec![vec![0], vec![1]]);
-    }
-
-    /// Diamond a→{b,c}→d: b and c share a wavefront (independent), with
-    /// d below and a above.
-    #[test]
-    fn condense_diamond_parallel_level() {
-        let mut g = DepGraph::new(4);
-        g.add_dep(0, 1);
-        g.add_dep(0, 2);
-        g.add_dep(1, 3);
-        g.add_dep(2, 3);
-        let c = g.condense();
-        assert_eq!(c.levels, vec![vec![3], vec![1, 2], vec![0]]);
-    }
-
-    /// Self-loops are a one-node SCC, not a crash or an extra level.
-    #[test]
-    fn condense_self_loop() {
-        let mut g = DepGraph::new(2);
-        g.add_dep(0, 0);
-        g.add_dep(1, 0);
-        let c = g.condense();
-        assert_eq!(c.sccs, vec![vec![0], vec![1]]);
-        assert_eq!(c.levels, vec![vec![0], vec![1]]);
-    }
-
-    /// Deep recursion in the DFS must not blow the thread stack: a
-    /// 100k-node chain condenses iteratively.
-    #[test]
-    fn condense_deep_chain_is_iterative() {
-        let n = 100_000u32;
-        let mut g = DepGraph::new(n as usize);
-        for i in 0..n - 1 {
-            g.add_dep(i, i + 1);
-        }
-        let c = g.condense();
-        assert_eq!(c.sccs.len(), n as usize);
-        assert_eq!(c.levels.len(), n as usize);
-    }
-
-    #[test]
-    fn cycles_terminate() {
-        let mut g = DepGraph::new(2);
-        g.add_dep(0, 1);
-        g.add_dep(1, 0);
-        assert_eq!(g.dependents(&[0]), vec![0, 1]);
-        let h = g.closure_hash(&[1, 2]);
-        assert_eq!(h.len(), 2);
+        g.add_dep(2, 2);
+        assert_eq!(g.affected(&[0]), vec![0, 1]);
+        assert_eq!(g.affected(&[2]), vec![2]);
     }
 }

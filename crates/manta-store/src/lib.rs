@@ -19,8 +19,8 @@
 //! * [`store`] — the versioned on-disk [`Store`]: entries keyed by
 //!   `(stage, content-hash, config-hash)`, self-checksummed files,
 //!   atomic-rename writes, corruption that degrades to recomputation.
-//! * [`depgraph`] — reverse/bidirectional closure computation and
-//!   dependency-closure hashing for invalidation over the call graph.
+//! * [`depgraph`] — bidirectional closure computation for invalidation
+//!   over the call graph.
 //!
 //! This crate knows nothing about IR, analyses or inference: higher
 //! layers (`manta::cache`, `manta-eval`) map their domain objects onto
@@ -38,7 +38,7 @@ pub mod json;
 pub mod store;
 
 pub use bytes::{ByteReader, ByteWriter, DecodeError};
-pub use depgraph::{Condensation, DepGraph};
+pub use depgraph::DepGraph;
 pub use hash::{combine, hash_bytes, hash_str, splitmix64, Fingerprint};
 pub use store::{
     GcReport, Key, OpenOutcome, StatsSnapshot, Store, StoreError, StoreStats, DEFAULT_LOCK_WAIT,

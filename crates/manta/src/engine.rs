@@ -7,18 +7,20 @@
 //! degradation records — re-implemented per variant. This module folds
 //! the matrix back into two pieces:
 //!
-//! * [`Stage`] — one pipeline pass (reveal, FI, CS, FS, or the whole
-//!   analysis substrate) with a name, a fault/isolation site, and a
-//!   completed-tier label. Stages know *what* to compute, nothing about
-//!   budgets, spans, faults, or caching.
+//! * [`Stage`] — one inference pass (reveal, FI, CS or FS) with a name,
+//!   a fault/isolation site, and a completed-tier label. Stages know
+//!   *what* to compute, nothing about budgets, spans, faults, or
+//!   caching.
 //! * [`Engine`] — the driver. Built once via [`EngineBuilder`] from a
-//!   [`MantaConfig`], a [`BudgetSpec`], a strictness flag, a thread
-//!   count, and an optional [`AnalysisCache`], it applies every
-//!   cross-cutting concern exactly once, in one loop, for every stage.
+//!   [`MantaConfig`], a [`BudgetSpec`], a strictness flag, the
+//!   provenance and summary switches, and an optional [`AnalysisCache`],
+//!   it applies every cross-cutting concern exactly once, in one loop,
+//!   for every stage.
 //!
-//! [`Engine::analyze`] is the one entry for plain, budgeted, strict
-//! and cached inference; [`Engine::analyze_batch`] adds whole-module
-//! scheduling across the work-stealing pool on top.
+//! [`Engine::build_substrate`] builds the analysis substrate
+//! (preprocess → call graph → points-to → DDG), which instruments and
+//! guards its own sub-passes; [`Engine::analyze`] is the one entry for
+//! plain, budgeted, strict and cached inference over it.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -42,27 +44,14 @@ use crate::{
 // Stage context
 // ---------------------------------------------------------------------
 
-/// Everything a [`Stage`] may read or write while it runs.
-///
-/// The context owns the evolving [`InferenceResult`] and the reveal map;
-/// the substrate slot lets the preprocessing stage run under the same
-/// driver even though it *produces* the [`ModuleAnalysis`] the later
-/// stages consume.
+/// Everything a [`Stage`] may read or write while it runs: the analysis
+/// substrate, the reveal map, and the evolving [`InferenceResult`].
 pub struct StageCtx<'a> {
     config: MantaConfig,
     budget: &'a Budget,
-    substrate: SubstrateSlot<'a>,
+    analysis: &'a ModuleAnalysis,
     reveals: Option<reveal::RevealMap>,
     result: InferenceResult,
-}
-
-enum SubstrateSlot<'a> {
-    /// The substrate stage has not run yet; holds the raw module.
-    Pending(Option<Module>),
-    /// The caller supplied a prebuilt analysis.
-    Ready(&'a ModuleAnalysis),
-    /// The substrate stage ran and built the analysis in place.
-    Built(Box<ModuleAnalysis>),
 }
 
 impl<'a> StageCtx<'a> {
@@ -70,17 +59,7 @@ impl<'a> StageCtx<'a> {
         StageCtx {
             config,
             budget,
-            substrate: SubstrateSlot::Ready(analysis),
-            reveals: None,
-            result: InferenceResult::empty(config),
-        }
-    }
-
-    fn pending(module: Module, config: MantaConfig, budget: &'a Budget) -> StageCtx<'a> {
-        StageCtx {
-            config,
-            budget,
-            substrate: SubstrateSlot::Pending(Some(module)),
+            analysis,
             reveals: None,
             result: InferenceResult::empty(config),
         }
@@ -96,14 +75,9 @@ impl<'a> StageCtx<'a> {
         self.budget
     }
 
-    /// The analysis substrate (panics if the substrate stage has not
-    /// run and no prebuilt analysis was supplied).
+    /// The analysis substrate.
     pub fn analysis(&self) -> &ModuleAnalysis {
-        match &self.substrate {
-            SubstrateSlot::Ready(a) => a,
-            SubstrateSlot::Built(a) => a,
-            SubstrateSlot::Pending(_) => panic!("substrate stage has not run yet"),
-        }
+        self.analysis
     }
 
     /// The reveal map (panics if the reveal stage has not run).
@@ -126,7 +100,8 @@ impl<'a> StageCtx<'a> {
 // Stages
 // ---------------------------------------------------------------------
 
-/// One pass of the pipeline, registered with the [`Engine`] driver.
+/// One pass of the inference cascade, registered with the [`Engine`]
+/// driver.
 ///
 /// Implementations carry no resilience or telemetry logic of their own:
 /// the driver opens the span, arms the fault point, isolates panics,
@@ -142,32 +117,17 @@ pub trait Stage: Sync {
 
     /// The completed-tier label this stage contributes on success:
     /// base tiers return `"FI"` / `"FS"`, refinements `"+CS"` / `"+FS"`,
-    /// stages outside the precision cascade (reveal, substrate) `None`.
+    /// the reveal stage (outside the precision cascade) `None`.
     fn tier(&self) -> Option<&'static str> {
         None
-    }
-
-    /// Whether the driver wraps this stage in `isolate` + a budgeted
-    /// fault point. The substrate stage opts out: it guards its four
-    /// sub-passes (preprocess, callgraph, points-to, DDG) at its own
-    /// finer-grained `analysis.*` sites.
-    fn guarded(&self) -> bool {
-        true
-    }
-
-    /// Whether the driver opens a span named [`Stage::name`] around the
-    /// stage. The substrate stage opts out because it instruments
-    /// itself (`analysis.build` and children).
-    fn spanned(&self) -> bool {
-        true
     }
 
     /// Runs the pass, reading and writing through `ctx`.
     ///
     /// # Errors
     ///
-    /// Budget exhaustion and (for the substrate) inner-stage failures
-    /// surface as [`MantaError`]; panics are caught by the driver.
+    /// Budget exhaustion surfaces as [`MantaError`]; panics are caught
+    /// by the driver.
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError>;
 }
 
@@ -178,42 +138,6 @@ fn budget_error(site: &'static str, e: BudgetExceeded) -> MantaError {
     MantaError::Budget {
         stage: site.to_string(),
         kind: e.kind,
-    }
-}
-
-/// Builds the analysis substrate (preprocess → call graph → points-to →
-/// DDG) from a raw module.
-struct SubstrateStage;
-
-impl Stage for SubstrateStage {
-    fn name(&self) -> &'static str {
-        "analysis.build"
-    }
-
-    fn site(&self) -> &'static str {
-        "analysis.build"
-    }
-
-    fn guarded(&self) -> bool {
-        false
-    }
-
-    fn spanned(&self) -> bool {
-        false
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let module = match &mut ctx.substrate {
-            SubstrateSlot::Pending(m) => m.take().expect("substrate stage ran twice"),
-            _ => return Ok(()),
-        };
-        let analysis = ModuleAnalysis::build_budgeted(
-            module,
-            manta_analysis::PreprocessConfig::default(),
-            ctx.budget,
-        )?;
-        ctx.substrate = SubstrateSlot::Built(Box::new(analysis));
-        Ok(())
     }
 }
 
@@ -309,21 +233,15 @@ impl Stage for CsStage {
     }
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let StageCtx {
-            config,
-            budget,
-            substrate,
+        let reveals = ctx.reveals.as_ref().expect("reveal stage has not run yet");
+        ctx_refine::refine_budgeted(
+            ctx.analysis,
             reveals,
-            result,
-        } = ctx;
-        let analysis: &ModuleAnalysis = match &*substrate {
-            SubstrateSlot::Ready(a) => a,
-            SubstrateSlot::Built(a) => a,
-            SubstrateSlot::Pending(_) => panic!("substrate stage has not run yet"),
-        };
-        let reveals = reveals.as_ref().expect("reveal stage has not run yet");
-        ctx_refine::refine_budgeted(analysis, reveals, config, result, budget)
-            .map_err(|e| budget_error(self.site(), e))
+            &ctx.config,
+            &mut ctx.result,
+            ctx.budget,
+        )
+        .map_err(|e| budget_error(self.site(), e))
     }
 }
 
@@ -345,21 +263,15 @@ impl Stage for FsRefineStage {
     }
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let StageCtx {
-            config,
-            budget,
-            substrate,
+        let reveals = ctx.reveals.as_ref().expect("reveal stage has not run yet");
+        flow_refine::refine_budgeted(
+            ctx.analysis,
             reveals,
-            result,
-        } = ctx;
-        let analysis: &ModuleAnalysis = match &*substrate {
-            SubstrateSlot::Ready(a) => a,
-            SubstrateSlot::Built(a) => a,
-            SubstrateSlot::Pending(_) => panic!("substrate stage has not run yet"),
-        };
-        let reveals = reveals.as_ref().expect("reveal stage has not run yet");
-        flow_refine::refine_budgeted(analysis, reveals, config, result, budget)
-            .map_err(|e| budget_error(self.site(), e))
+            &ctx.config,
+            &mut ctx.result,
+            ctx.budget,
+        )
+        .map_err(|e| budget_error(self.site(), e))
     }
 }
 
@@ -381,8 +293,9 @@ pub fn stages(sensitivity: Sensitivity) -> &'static [&'static dyn Stage] {
 // Builder
 // ---------------------------------------------------------------------
 
-/// Composes sensitivity config, budget, strictness, thread pool, cache,
-/// and telemetry into an [`Engine`].
+/// Composes sensitivity config, budget, strictness, provenance and
+/// summary switches, and a cache into an [`Engine`]. Every option is
+/// owned by the engine it builds; building writes no process state.
 ///
 /// ```
 /// use manta::engine::EngineBuilder;
@@ -400,9 +313,7 @@ pub struct EngineBuilder {
     config: MantaConfig,
     budget: BudgetSpec,
     strict: bool,
-    threads: Option<usize>,
-    telemetry: Option<bool>,
-    provenance: Option<bool>,
+    provenance: bool,
     summaries: bool,
     cache_dir: Option<PathBuf>,
     cache: Option<Arc<AnalysisCache>>,
@@ -458,33 +369,17 @@ impl EngineBuilder {
         self
     }
 
-    /// Sizes the process-global work-stealing pool (0 = one worker per
-    /// core). Applied at [`EngineBuilder::build`] time.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Enables or disables telemetry collection process-wide. When not
-    /// called, the current telemetry state is left untouched.
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = Some(enabled);
-        self
-    }
-
-    /// Enables or disables type-provenance recording: the engine builds
-    /// a [`ProvenanceGraph`] alongside each analysis (retrieved through
-    /// [`Engine::analyze_explained`]) and the points-to solver records
+    /// Enables or disables type-provenance recording for this engine:
+    /// it builds a [`ProvenanceGraph`] alongside each analysis
+    /// (retrieved through [`Engine::analyze_explained`]), and
+    /// substrates built by [`Engine::build_substrate`] record points-to
     /// first-derivation origins. Off — the default — costs one branch
     /// per potential recording point and leaves results bit-identical
-    /// to a build without the feature. Applied process-wide at
-    /// [`EngineBuilder::build`] time, like [`EngineBuilder::telemetry`];
-    /// when not called, the current process state is left untouched.
+    /// to a build without the feature. Other engines in the process are
+    /// unaffected.
     #[must_use]
     pub fn provenance(mut self, enabled: bool) -> Self {
-        self.provenance = Some(enabled);
+        self.provenance = enabled;
         self
     }
 
@@ -519,23 +414,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine, applying the thread-pool size and telemetry
-    /// switch and opening the cache directory if one was given.
+    /// Builds the engine, opening the cache directory if one was given.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] only when a cache directory was
     /// requested and cannot be opened; cacheless builds are infallible.
     pub fn build(self) -> Result<Engine, StoreError> {
-        if let Some(threads) = self.threads {
-            manta_parallel::set_threads(threads);
-        }
-        if let Some(enabled) = self.telemetry {
-            manta_telemetry::set_enabled(enabled);
-        }
-        if let Some(enabled) = self.provenance {
-            manta_telemetry::set_provenance_enabled(enabled);
-        }
         let cache = match (self.cache, self.cache_dir) {
             (Some(cache), _) => Some(cache),
             (None, Some(dir)) => Some(Arc::new(AnalysisCache::open(dir)?)),
@@ -545,7 +430,7 @@ impl EngineBuilder {
             config: self.config,
             budget: self.budget,
             strict: self.strict,
-            provenance: self.provenance.unwrap_or(false),
+            provenance: self.provenance,
             summaries: self.summaries,
             cache,
         })
@@ -557,7 +442,7 @@ impl EngineBuilder {
 // ---------------------------------------------------------------------
 
 /// The single orchestration path: every analysis — plain, budgeted,
-/// strict, cached, batched, CLI- or eval-driven — runs through
+/// strict, cached, CLI- or eval-driven — runs through
 /// [`Engine::analyze`]'s driver loop.
 #[derive(Clone)]
 pub struct Engine {
@@ -674,7 +559,8 @@ impl Engine {
     /// Like [`Engine::analyze`] but charging work to an external,
     /// possibly shared, running budget (the CLI shares one budget
     /// across a whole command). A cache-served result consumes no
-    /// budget.
+    /// budget; a cache miss charges `budget` exactly as the uncached
+    /// engine would.
     ///
     /// # Errors
     ///
@@ -720,43 +606,22 @@ impl Engine {
         Ok((analysis, result))
     }
 
-    /// Runs the substrate stage (preprocess → call graph → points-to →
-    /// DDG) under the same driver the inference stages use.
+    /// Builds the analysis substrate (preprocess → call graph →
+    /// points-to → DDG) under `budget`. Each sub-pass opens its own
+    /// span under `analysis.build` and is guarded at its own
+    /// `analysis.*` site. A provenance-recording engine asks the
+    /// points-to solver to record first derivations.
     ///
     /// # Errors
     ///
-    /// Returns the first sub-stage failure: budget exhaustion at an
+    /// Returns the first sub-pass failure: budget exhaustion at an
     /// `analysis.*` site or a caught panic.
     pub fn build_substrate(
         &self,
         module: Module,
         budget: &Budget,
     ) -> Result<ModuleAnalysis, MantaError> {
-        let mut ctx = StageCtx::pending(module, self.config, budget);
-        Self::run_stage(&SubstrateStage, &mut ctx)?;
-        match ctx.substrate {
-            SubstrateSlot::Built(analysis) => Ok(*analysis),
-            _ => unreachable!("substrate stage builds the analysis or errors"),
-        }
-    }
-
-    /// Schedules whole-module analyses across the work-stealing pool,
-    /// one job per module; within a job the nested stage-level
-    /// parallelism runs inline on the worker.
-    ///
-    /// Results come back in input order, each exactly what
-    /// [`Engine::analyze`] returns for that module.
-    pub fn analyze_batch(
-        &self,
-        analyses: &[ModuleAnalysis],
-    ) -> Vec<Result<InferenceResult, MantaError>> {
-        // Modules are mutually independent, so the batch is one
-        // wavefront on the shared scheduler the summary driver uses for
-        // its per-level dispatch.
-        let jobs: Vec<&ModuleAnalysis> = analyses.iter().collect();
-        manta_parallel::wavefront::wavefront_dispatch(vec![jobs], "engine.batch_wavefronts", |a| {
-            self.analyze(a)
-        })
+        ModuleAnalysis::build_budgeted(module, self.provenance, budget)
     }
 
     fn analyze_inner(
@@ -785,7 +650,8 @@ impl Engine {
     /// strict engine, an armed fault plan, or a wall-clock deadline
     /// (faults and deadlines make results nondeterministic); otherwise
     /// sync the per-function index, look up, and persist only
-    /// non-degraded results. A provenance-recording engine persists the
+    /// non-degraded results. A miss charges `external` when given, like
+    /// the uncached path. A provenance-recording engine persists the
     /// graph next to the result under a `"prov"` key with the same
     /// fingerprint and config hash — the result payload itself stays
     /// bit-identical to a provenance-off run.
@@ -824,13 +690,15 @@ impl Engine {
         }
         // Summary mode: on an infer-key miss, re-solve incrementally from
         // the persisted per-function summary state instead of running the
-        // full pipeline. Fuel-limited budgets fall through (a blown
-        // budget must trip exactly where the full pipeline would), as do
-        // provenance engines (stage diffs need the pipeline driver) and
-        // ineligible sensitivities.
+        // full pipeline. Limited budgets — the engine's own fuel or a
+        // limited external budget — fall through (a blown budget must
+        // trip exactly where the full pipeline would), as do provenance
+        // engines (stage diffs need the pipeline driver) and ineligible
+        // sensitivities.
         if self.summaries
             && !self.provenance
             && self.budget.fuel.is_none()
+            && external.is_none_or(Budget::is_unlimited)
             && crate::summaries::eligible(self.config.sensitivity)
         {
             let state_key = crate::summaries::state_key(analysis.module().name(), &self.config);
@@ -847,7 +715,7 @@ impl Engine {
             }
             return Ok((result, None));
         }
-        let (result, prov) = self.run_pipeline(analysis, &self.budget.start())?;
+        let (result, prov) = self.run_uncached(analysis, external)?;
         if !result.is_degraded() {
             let _ = cache.store().put(&key, &encode_result(&result));
             if let Some(graph) = &prov {
@@ -921,10 +789,7 @@ impl Engine {
 
     /// Runs one stage under the uniform guards.
     fn run_stage(stage: &dyn Stage, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let _span = stage.spanned().then(|| manta_telemetry::span(stage.name()));
-        if !stage.guarded() {
-            return stage.run(ctx);
-        }
+        manta_telemetry::span!(stage.name());
         let site = stage.site();
         let budget = ctx.budget;
         isolate(site, || {
@@ -1018,19 +883,90 @@ mod tests {
         assert!(!result.var_types.is_empty());
     }
 
+    /// A cached engine charges the caller's budget on a miss exactly as
+    /// the uncached engine does: the same fuel is spent, and a zero-fuel
+    /// budget degrades the same way. Only a hit is free.
     #[test]
-    fn batch_results_match_individual_analyzes_in_order() {
-        let engine = Engine::new(MantaConfig::full());
-        let analyses: Vec<ModuleAnalysis> = ["a", "b", "c"]
-            .iter()
-            .map(|tag| ModuleAnalysis::build(module(tag)))
-            .collect();
-        let batch = engine.analyze_batch(&analyses);
-        assert_eq!(batch.len(), analyses.len());
-        for (a, b) in analyses.iter().zip(&batch) {
-            let solo = engine.analyze(a).expect("non-strict never errors");
-            let b = b.as_ref().expect("non-strict never errors");
-            assert!(results_identical(&solo, b));
+    fn cached_miss_charges_the_external_budget() {
+        let dir = std::env::temp_dir().join(format!(
+            "manta-engine-test-{}-external-budget",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+        let analysis = ModuleAnalysis::build(module("budget"));
+        let uncached = Engine::new(MantaConfig::full());
+        let cached = Engine::builder()
+            .config(MantaConfig::full())
+            .cache(cache)
+            .build()
+            .expect("prebuilt cache cannot fail to attach");
+
+        // Degraded results are never persisted, so both runs miss.
+        let starved = |engine: &Engine| {
+            engine
+                .analyze_with_budget(&analysis, &Budget::with_fuel(0))
+                .expect("non-strict never errors")
+        };
+        let (plain, via_cache) = (starved(&uncached), starved(&cached));
+        assert!(plain.is_degraded(), "zero fuel must degrade uncached");
+        assert!(
+            results_identical(&plain, &via_cache),
+            "a cached miss must degrade exactly as the uncached engine"
+        );
+
+        const FUEL: u64 = 1_000_000;
+        let spent = |engine: &Engine| {
+            let budget = Budget::with_fuel(FUEL);
+            let r = engine
+                .analyze_with_budget(&analysis, &budget)
+                .expect("non-strict never errors");
+            assert!(!r.is_degraded());
+            FUEL - budget.fuel_left()
+        };
+        let uncached_spend = spent(&uncached);
+        assert!(uncached_spend > 0, "inference must charge fuel");
+        assert_eq!(spent(&cached), uncached_spend, "a miss charges the caller");
+        assert_eq!(spent(&cached), 0, "a hit is served without charge");
+        drop(cached);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each engine owns its provenance switch: whichever engine is built
+    /// last, the recording one records points-to derivations and the
+    /// other records nothing.
+    #[test]
+    fn provenance_belongs_to_each_engine() {
+        let build = |on: bool| {
+            Engine::builder()
+                .config(MantaConfig::full())
+                .provenance(on)
+                .build()
+                .expect("cacheless build")
+        };
+        for recording_first in [true, false] {
+            let (on, off) = if recording_first {
+                let on = build(true);
+                (on, build(false))
+            } else {
+                let off = build(false);
+                (build(true), off)
+            };
+            let budget = Budget::unlimited();
+            let with = on
+                .build_substrate(module("prov-on"), &budget)
+                .expect("substrate");
+            let without = off
+                .build_substrate(module("prov-off"), &budget)
+                .expect("substrate");
+            assert!(with.pointsto.provenance.is_some(), "{recording_first}");
+            assert!(without.pointsto.provenance.is_none(), "{recording_first}");
+            let (_, graph) = on.analyze_explained(&with).expect("analyze");
+            let graph = graph.expect("provenance on yields a graph");
+            assert!(
+                !graph.pts_derivations().is_empty(),
+                "{recording_first}: points-to derivations must be recorded"
+            );
         }
     }
 
@@ -1060,8 +996,6 @@ mod tests {
         let (r_off, g_off) = off.analyze_explained(&analysis).expect("analyze");
         assert!(g_off.is_none(), "provenance off yields no graph");
 
-        // Engine constructed literally so the process-global provenance
-        // switch (which other tests observe) stays untouched.
         let on = Engine {
             provenance: true,
             ..Engine::new(MantaConfig::full())

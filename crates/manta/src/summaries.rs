@@ -20,7 +20,7 @@
 //! its call-graph adjacency, and the per-value interval slice of the
 //! pre-stage result. Each cached chunk records the **footprint** of the
 //! walks that produced it — every function whose data was read
-//! ([`crate::ctx_refine::Footprint`]). A chunk is replayed iff every
+//! (`ctx_refine::Footprint`). A chunk is replayed iff every
 //! footprint member's current `IN` matches the value recorded at write
 //! time; otherwise the chunk recomputes. Because the footprint covers
 //! *all* inputs of the walk, replay is bit-identical by construction —
@@ -37,16 +37,16 @@
 //! ([`manta_parallel::wavefront::condense`]): each strongly-connected
 //! component sits at a topological level, and every level's chunks
 //! dispatch across the `manta-parallel` pool as one wavefront
-//! ([`manta_parallel::wavefront::wavefront_dispatch`] — the shared
-//! scheduler layer also used by `Engine::analyze_batch`). Chunks are pure against the frozen
-//! pre-stage result, so wavefronts bound nothing semantically — they
-//! shape the schedule (summaries are the only cross-shard traffic) and
-//! feed the `summary.wavefront*` telemetry.
+//! ([`manta_parallel::wavefront::wavefront_dispatch`]). Chunks are pure
+//! against the frozen pre-stage result, so wavefronts bound nothing
+//! semantically — they shape the schedule (summaries are the only
+//! cross-shard traffic) and feed the `summary.wavefront*` telemetry.
 //!
 //! ## What bypasses this path
 //!
-//! Fuel-limited budgets (a blown budget must trip at the same point the
-//! full pipeline would), strict engines, armed fault plans, wall-clock
+//! Fuel-limited budgets, the engine's own or a limited one passed to
+//! `Engine::analyze_with_budget` (a blown budget must trip at the same
+//! point the full pipeline would), strict engines, armed fault plans, wall-clock
 //! deadlines, provenance-recording engines (stage diffs need the full
 //! pipeline), and the standalone-FS sensitivity (its alias classes are a
 //! global union-find, not per-candidate walks). Degraded-tier results

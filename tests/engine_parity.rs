@@ -1,5 +1,5 @@
 //! Bit-identity of the staged [`Engine`] pipeline across the ways it
-//! can be driven: pool sizes, batch vs single-module entrypoints, and
+//! can be driven: pool sizes, the single-module entrypoint, and
 //! provenance recording on or off, cold and warm through the cache.
 //! Identity is checked through [`manta::cache::results_identical`], i.e.
 //! over the full canonical encoding (which includes degradations).
@@ -75,28 +75,11 @@ fn engine_results_are_thread_count_invariant() {
     }
 }
 
-/// `analyze_batch` is element-wise identical to sequential `analyze`,
-/// and `analyze_module` equals substrate build + analyze.
+/// `analyze_module` equals substrate build + analyze.
 #[test]
-fn batch_and_module_entrypoints_match_their_composites() {
-    let _l = lock();
-    let _restore = ThreadGuard;
+fn module_entrypoint_matches_its_composite() {
     let suite = suite();
     let engine = Engine::new(MantaConfig::full());
-    for threads in [1usize, 8] {
-        manta_parallel::set_threads(threads);
-        let batch = engine.analyze_batch(&suite);
-        assert_eq!(batch.len(), suite.len());
-        for (analysis, batched) in suite.iter().zip(batch) {
-            let single = engine.analyze(analysis).expect("non-strict cannot fail");
-            let batched = batched.expect("non-strict cannot fail");
-            assert!(
-                results_identical(&single, &batched),
-                "threads={threads}: batch result diverges from single analyze"
-            );
-        }
-    }
-
     let module = suite[0].module().clone();
     let (analysis, result) = engine
         .analyze_module(module)
@@ -114,7 +97,6 @@ fn batch_and_module_entrypoints_match_their_composites() {
 /// byte-for-byte.
 #[test]
 fn provenance_recording_never_perturbs_results() {
-    let _l = lock();
     for (i, analysis) in suite().iter().enumerate() {
         let base = Engine::new(MantaConfig::full())
             .analyze(analysis)
@@ -124,9 +106,9 @@ fn provenance_recording_never_perturbs_results() {
             .provenance(true)
             .build()
             .expect("cacheless engine cannot fail to build");
-        let outcome = engine.analyze_explained(analysis);
-        manta_telemetry::set_provenance_enabled(false);
-        let (observed, graph) = outcome.expect("non-strict cannot fail");
+        let (observed, graph) = engine
+            .analyze_explained(analysis)
+            .expect("non-strict cannot fail");
         assert!(
             results_identical(&base, &observed),
             "project {i}: provenance recording changed the result bytes"
@@ -146,11 +128,12 @@ fn provenance_recording_never_perturbs_results() {
         .build()
         .expect("prebuilt cache cannot fail to attach");
     let analysis = &suite()[0];
-    let cold = engine.analyze_explained(analysis);
-    let warm = engine.analyze_explained(analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (cold_res, cold_graph) = cold.expect("non-strict cannot fail");
-    let (warm_res, warm_graph) = warm.expect("non-strict cannot fail");
+    let (cold_res, cold_graph) = engine
+        .analyze_explained(analysis)
+        .expect("non-strict cannot fail");
+    let (warm_res, warm_graph) = engine
+        .analyze_explained(analysis)
+        .expect("non-strict cannot fail");
     assert!(results_identical(&cold_res, &warm_res));
     assert_eq!(
         cold_graph.expect("cold graph").encode(),

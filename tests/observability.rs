@@ -10,8 +10,9 @@ use manta_analysis::ModuleAnalysis;
 use manta_telemetry::{JsonSink, SpanReport, TelemetrySink};
 use manta_workloads::{PhenomenonMix, ProjectSpec};
 
-/// Serializes tests that flip process-global switches (pool size,
-/// telemetry collection, provenance recording).
+/// Serializes this file's tests: some flip process-global switches
+/// (pool size, telemetry collection), and every analysis run while
+/// another test collects would leak into its global report.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -201,9 +202,9 @@ fn derivation_chains_cross_the_cascade_tiers() {
         .provenance(true)
         .build()
         .expect("cacheless engine cannot fail to build");
-    let outcome = engine.analyze_explained(&analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (result, graph) = outcome.expect("non-strict cannot fail");
+    let (result, graph) = engine
+        .analyze_explained(&analysis)
+        .expect("non-strict cannot fail");
     assert!(result.degradations.is_empty(), "{:?}", result.degradations);
     let graph = graph.expect("provenance-enabled engine returns a graph");
 
@@ -321,9 +322,9 @@ fn site_level_explanations_render() {
         .provenance(true)
         .build()
         .expect("cacheless engine cannot fail to build");
-    let outcome = engine.analyze_explained(&analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (_, graph) = outcome.expect("non-strict cannot fail");
+    let (_, graph) = engine
+        .analyze_explained(&analysis)
+        .expect("non-strict cannot fail");
     let graph = graph.expect("graph");
     let module = analysis.module();
     let mut rendered = 0usize;

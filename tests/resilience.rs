@@ -19,7 +19,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use manta::{Engine, Manta, MantaConfig, Sensitivity};
-use manta_analysis::{ModuleAnalysis, PreprocessConfig};
+use manta_analysis::ModuleAnalysis;
 use manta_ir::parser::{parse_module, parse_module_recovering};
 use manta_ir::printer::print_module;
 use manta_ir::verify::verify_module;
@@ -157,11 +157,10 @@ fn drive(rng: &mut ChaCha8Rng, text: &str) -> &'static str {
     } else {
         Budget::with_fuel(rng.gen_range(0..4096u64))
     };
-    let analysis =
-        match ModuleAnalysis::build_budgeted(module, PreprocessConfig::default(), &budget) {
-            Ok(a) => a,
-            Err(_) => return "analysis-degraded",
-        };
+    let analysis = match ModuleAnalysis::build_budgeted(module, false, &budget) {
+        Ok(a) => a,
+        Err(_) => return "analysis-degraded",
+    };
     let result = Engine::new(MantaConfig::full())
         .analyze_with_budget(&analysis, &budget)
         .expect("non-strict analyze cannot fail");
@@ -211,7 +210,7 @@ fn injected_faults_in_every_analysis_stage_surface_as_structured_errors() {
                 .install();
             let budget = Budget::unlimited();
             let module = fuzz_program().module;
-            let err = ModuleAnalysis::build_budgeted(module, PreprocessConfig::default(), &budget)
+            let err = ModuleAnalysis::build_budgeted(module, false, &budget)
                 .expect_err("armed fault must fail the build");
             match fault {
                 Fault::Panic => {
