@@ -3,8 +3,8 @@
 //! The `manta` command-line tool: drive the whole pipeline on files.
 //!
 //! ```text
-//! manta asm    prog.s -o prog.sbf     assemble SB-ISA text to an SBF image
-//! manta disasm prog.sbf               disassemble an SBF image
+//! manta asm    prog.s -o prog.sbf     assemble SB-ISA (or x86) text to an image
+//! manta disasm prog.sbf               disassemble an SBF or XLF image
 //! manta lift   prog.sbf               lift to SSA IR and print it
 //! manta infer  prog.sbf [-s SENS]     infer types (fi|fs|fifs|full|fifscs)
 //! manta bugs   prog.sbf [--no-types]  run the NPD/RSA/UAF/CMI/BOF checkers
@@ -38,9 +38,10 @@
 //!
 //! Inputs may be binary images in any registered frontend's container —
 //! SBF (`SBF1` magic, SB-ISA code) or XLF (`\x7fELF` magic, x86-64-subset
-//! code) — SB-ISA assembly text, or textual IR (`module …` followed by
+//! code) — assembly text, or textual IR (`module …` followed by
 //! `func name(wN,…)` headers); the format is sniffed automatically.
-//! `--frontend <name>` overrides the sniffing for binary inputs.
+//! `--frontend <name>` overrides the sniffing for binary inputs and picks
+//! the assembly syntax of text inputs (default `sb`).
 
 #![warn(missing_docs)]
 
@@ -56,7 +57,7 @@ use manta_analysis::{ModuleAnalysis, VarRef};
 use manta_clients::{
     detect_bugs, indirect_call_sites, resolve_targets_manta, BugKind, CheckerConfig,
 };
-use manta_ir::{Frontend, Module};
+use manta_ir::{Frontend, FrontendError, Module};
 use manta_resilience::{Budget, BudgetSpec};
 use manta_telemetry::{JsonSink, TelemetrySink, TextSink};
 
@@ -67,6 +68,12 @@ pub struct CliError(pub String);
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+impl From<FrontendError> for CliError {
+    fn from(e: FrontendError) -> CliError {
+        CliError(e.to_string())
     }
 }
 
@@ -82,7 +89,7 @@ manta — hybrid-sensitive type inference for stripped binaries
 
 USAGE:
     manta asm    <prog.s> -o <prog.bin> [--frontend sb|x86]
-    manta disasm <prog.sbf>
+    manta disasm <image>
     manta lift   <input>
     manta infer  <input> [-s fi|fs|fifs|full|fifscs] [--trace] [--stats <out.json>]
     manta bugs   <input> [--no-types] [--trace] [--stats <out.json>]
@@ -97,15 +104,16 @@ USAGE:
     manta client <addr> shutdown
     manta client <addr> analyze <input> [-s SENS] [--fuel <N>] [--budget-ms <N>]
 
-<input> is a binary image (SBF or XLF, detected by magic), SB-ISA
-assembly, or textual IR (auto-detected).
+<input> is a binary image (SBF or XLF, detected by magic), assembly,
+or textual IR (auto-detected); <image> is an SBF or XLF image.
 
-FRONTENDS (all commands taking <input>):
+FRONTENDS (asm, disasm and all commands taking <input>):
     --frontend <name> force a binary frontend instead of sniffing the
                       image magic: `sb` (SB-ISA, SBF container) or `x86`
-                      (x86-64 subset, XLF ELF-subset container).
-                      `manta asm --frontend x86` assembles the Intel-like
-                      x86 syntax into an XLF image instead of SB-ISA
+                      (x86-64 subset, XLF ELF-subset container). It also
+                      picks the assembly syntax of `manta asm` and of
+                      assembly inputs: `x86` reads the Intel-like x86
+                      syntax, the default `sb` reads SB-ISA
 
 OBSERVABILITY:
     --trace           print the hierarchical span tree to stderr afterwards
@@ -154,9 +162,15 @@ SERVING:
                       --budget-ms ride along as the request's budget
 ";
 
-/// The registered binary-image frontends, in sniffing order.
+/// The registered binary-image frontends, in sniffing order; the first
+/// is the default assembly syntax.
 pub fn frontends() -> [&'static dyn Frontend; 2] {
     [&manta_isa::lift::SbFrontend, &manta_x86::X86Frontend]
+}
+
+/// The frontend whose magic `bytes` carry, if any.
+fn sniff(bytes: &[u8]) -> Option<&'static dyn Frontend> {
+    frontends().into_iter().find(|fe| fe.detects(bytes))
 }
 
 /// Resolves a `--frontend <name>` value against the registry.
@@ -185,22 +199,18 @@ pub fn load_module(path: &Path) -> Result<Module, CliError> {
     load_module_as(path, None)
 }
 
-/// Like [`load_module`], with an optional forced binary frontend
-/// (`--frontend`). Without one, binary inputs are dispatched on their
-/// image magic across every registered frontend.
+/// Like [`load_module`], with an optional forced frontend (`--frontend`).
+/// Binary inputs are dispatched on their image magic across every
+/// registered frontend unless one is forced; assembly inputs are read in
+/// the forced frontend's syntax (SB-ISA by default).
 pub fn load_module_as(
     path: &Path,
     forced: Option<&'static dyn Frontend>,
 ) -> Result<Module, CliError> {
     let bytes =
         fs::read(path).map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))?;
-    if let Some(fe) = forced {
-        return fe.lift_bytes(&bytes).map_err(|e| CliError(e.to_string()));
-    }
-    for fe in frontends() {
-        if fe.detects(&bytes) {
-            return fe.lift_bytes(&bytes).map_err(|e| CliError(e.to_string()));
-        }
+    if let Some(fe) = sniff(&bytes) {
+        return Ok(forced.unwrap_or(fe).lift_bytes(&bytes)?);
     }
     let Ok(text) = String::from_utf8(bytes) else {
         return err(format!(
@@ -216,8 +226,8 @@ pub fn load_module_as(
     }) {
         return manta_ir::parser::parse_module(&text).map_err(|e| CliError(e.to_string()));
     }
-    let image = manta_isa::assemble(&text).map_err(|e| CliError(e.to_string()))?;
-    manta_isa::lift::lift(&image).map_err(|e| CliError(e.to_string()))
+    let fe = forced.unwrap_or(frontends()[0]);
+    Ok(fe.lift_bytes(&fe.assemble(&text)?)?)
 }
 
 /// Like [`load_module`], but serves unchanged files from the cache:
@@ -633,25 +643,17 @@ fn run_command(
             };
             let text = fs::read_to_string(input)
                 .map_err(|e| CliError(format!("cannot read {input}: {e}")))?;
-            // `--frontend x86` switches the assembler syntax and output
-            // container; the default (and `--frontend sb`) is SB-ISA.
-            let (bytes, n_funcs, n_insts) = if forced_frontend.map(Frontend::name) == Some("x86") {
-                let image = manta_x86::assemble(&text).map_err(|e| CliError(e.to_string()))?;
-                let insts: usize = image
-                    .functions
-                    .iter()
-                    .map(|f| {
-                        let code = &image.text[f.offset as usize..(f.offset + f.len) as usize];
-                        manta_x86::decode_all(code).map_or(0, |v| v.len())
-                    })
-                    .sum();
-                let n = image.functions.len();
-                (manta_x86::encode_image(&image), n, insts)
-            } else {
-                let image = manta_isa::assemble(&text).map_err(|e| CliError(e.to_string()))?;
-                let (n, insts) = (image.functions.len(), image.total_insts());
-                (manta_isa::encode(&image), n, insts)
-            };
+            // `--frontend` picks the syntax and container; SB by default.
+            let bytes = forced_frontend.unwrap_or(frontends()[0]).assemble(&text)?;
+            // Both syntaxes assemble one machine instruction per line.
+            let program = manta_ir::frontend::asm::Program::parse(&text)
+                .map_err(|e| CliError(e.to_string()))?;
+            let n_funcs = program.functions.len();
+            let n_insts: usize = program
+                .functions
+                .iter()
+                .map(|f| program.insts(f).count())
+                .sum();
             fs::write(output, &bytes)
                 .map_err(|e| CliError(format!("cannot write {output}: {e}")))?;
             let _ = writeln!(
@@ -667,8 +669,13 @@ fn run_command(
             let [_, input] = args else { return err(USAGE) };
             let bytes =
                 fs::read(input).map_err(|e| CliError(format!("cannot read {input}: {e}")))?;
-            let image = manta_isa::decode(&bytes).map_err(|e| CliError(e.to_string()))?;
-            out.push_str(&manta_isa::asm::disassemble(&image));
+            let fe = forced_frontend.or_else(|| sniff(&bytes)).ok_or_else(|| {
+                CliError(format!(
+                    "{input}: unrecognized image magic\n{}",
+                    frontend_listing()
+                ))
+            })?;
+            out.push_str(&fe.disassemble(&bytes)?);
         }
         Some("lift") => {
             let [_, input] = args else { return err(USAGE) };
@@ -1102,27 +1109,29 @@ func main(0) -> ret {
         v.iter().map(|x| x.to_string()).collect()
     }
 
-    #[test]
-    fn asm_disasm_lift_roundtrip() {
-        with_files(|dir| {
-            let src = dir.join("p.s");
-            let sbf = dir.join("p.sbf");
-            fs::write(&src, ASM).unwrap();
-            let out = run(&s(&[
-                "asm",
-                src.to_str().unwrap(),
-                "-o",
-                sbf.to_str().unwrap(),
-            ]))
-            .unwrap();
-            assert!(out.contains("2 functions"), "{out}");
-            let dis = run(&s(&["disasm", sbf.to_str().unwrap()])).unwrap();
-            assert!(dis.contains("ecall malloc"), "{dis}");
-            let ir = run(&s(&["lift", sbf.to_str().unwrap()])).unwrap();
-            assert!(ir.contains("module clitest"), "{ir}");
-            assert!(ir.contains("call.w64 !malloc"), "{ir}");
-        });
-    }
+    /// x86 assembly touching every symbol kind: labels, an extern call
+    /// through the PLT, a direct call, and function and global addresses.
+    const X86_ASM: &str = "\
+module clix86
+extern malloc, 1, ret
+global table, 64
+func helper(1) -> ret {
+    mov rax, rdi
+    ret
+}
+func main(0) -> ret {
+    mov rdi, 16
+    call malloc
+    test rax, rax
+    je out
+    mov rdi, rax
+    call helper
+out:
+    lea rsi, global table
+    lea rdx, func helper
+    ret
+}
+";
 
     #[test]
     fn asm_assembles_x86_behind_the_frontend_flag() {
@@ -1156,6 +1165,89 @@ func double(1) -> ret {
             assert!(ir.contains("module clix86"), "{ir}");
             assert!(ir.contains("add"), "{ir}");
         });
+    }
+
+    #[test]
+    fn asm_disasm_lift_roundtrip() {
+        let [sb, x86] = frontends();
+        let cases = [
+            (sb, ASM, "2 functions, 11 instructions", "module clitest"),
+            (
+                x86,
+                X86_ASM,
+                "2 functions, 11 instructions",
+                "module clix86",
+            ),
+        ];
+        with_files(|dir| {
+            for (fe, text, counts, module) in cases {
+                let name = fe.name();
+                let path = |ext: &str| dir.join(format!("{name}.{ext}"));
+                let arg = |ext: &str| path(ext).to_str().unwrap().to_string();
+                let asm = |src: &str, out: &str| {
+                    run(&s(&["asm", &arg(src), "-o", &arg(out), "--frontend", name])).unwrap()
+                };
+                fs::write(path("s"), text).unwrap();
+                let out = asm("s", "bin");
+                assert!(out.contains(counts), "{name}: {out}");
+                let bytes = fs::read(path("bin")).unwrap();
+                assert!(fe.detects(&bytes), "{name}: container magic expected");
+                // `disasm` sniffs the container, and its text assembles
+                // back to the same bytes.
+                let dis = run(&s(&["disasm", &arg("bin")])).unwrap();
+                fs::write(path("dis.s"), &dis).unwrap();
+                asm("dis.s", "re.bin");
+                assert_eq!(bytes, fs::read(path("re.bin")).unwrap(), "{name}:\n{dis}");
+                // The image lifts without a flag; assembly inputs are read
+                // in the `--frontend` syntax and lift the same.
+                let ir = run(&s(&["lift", &arg("bin")])).unwrap();
+                assert!(
+                    ir.contains(module) && ir.contains("call.w64 !malloc"),
+                    "{name}: {ir}"
+                );
+                let from_text = run(&s(&["lift", &arg("s"), "--frontend", name])).unwrap();
+                assert_eq!(from_text, ir, "{name}");
+            }
+        });
+    }
+
+    #[test]
+    fn assembler_errors_name_the_offending_line_in_both_syntaxes() {
+        let [sb, x86] = frontends();
+        let unterminated = "module m\nfunc f(0) -> void {\n    ret\n";
+        let cases = [
+            // An unterminated body is reported at its `func` line.
+            (sb, unterminated, 2),
+            (x86, unterminated, 2),
+            // An undefined label or symbol is reported where it is used.
+            (
+                sb,
+                "module m\nfunc f(0) -> void {\n    ret\n    jmp nowhere\n}\n",
+                4,
+            ),
+            (
+                x86,
+                "module m\nfunc f(0) -> void {\n    ret\n    jmp nowhere\n}\n",
+                4,
+            ),
+            (x86, "module m\nfunc f(0) -> void {\n    je nowhere\n}\n", 3),
+            (
+                x86,
+                "module m\nfunc f(0) -> void {\n\n    lea rax, func ghost\n}\n",
+                4,
+            ),
+            // The shared top level: duplicate labels, stray lines, bad
+            // `global` and `func` lines.
+            (sb, "module m\nfunc f(0) -> void {\nl:\nl:\n    ret\n}\n", 4),
+            (x86, "module m\nbogus\n", 2),
+            (sb, "module m\nglobal g\n", 2),
+            (x86, "module m\n\nfunc f -> void {\n}\n", 3),
+        ];
+        for (fe, text, line) in cases {
+            let e = fe.assemble(text).unwrap_err().to_string();
+            let want = format!("assembly error at line {line}:");
+            assert!(e.contains(&want), "{}: {text:?}: {e}", fe.name());
+        }
     }
 
     #[test]
@@ -1439,40 +1531,10 @@ func main(0) -> ret {
     /// A minimal XLF image: `main` returns `f(7)` where `f` doubles its
     /// argument — enough to exercise decode, lift, and inference.
     fn x86_image_bytes() -> Vec<u8> {
-        use manta_x86::{Gpr, ImageBuilder, Inst, OpWidth, SymInst};
-        let mut b = ImageBuilder::new("clix86");
-        b.function(
-            "f",
-            1,
-            true,
-            vec![
-                SymInst::Real(Inst::MovRR {
-                    w: OpWidth::B64,
-                    dst: Gpr::RAX,
-                    src: Gpr::RDI,
-                }),
-                SymInst::Real(Inst::AluRR {
-                    op: manta_x86::Alu::Add,
-                    dst: Gpr::RAX,
-                    src: Gpr::RDI,
-                }),
-                SymInst::Real(Inst::Ret),
-            ],
-        );
-        b.function(
-            "main",
-            0,
-            true,
-            vec![
-                SymInst::Real(Inst::MovRI {
-                    dst: Gpr::RDI,
-                    imm: 7,
-                }),
-                SymInst::CallFunc("f".into()),
-                SymInst::Real(Inst::Ret),
-            ],
-        );
-        manta_x86::encode_image(&b.build().unwrap())
+        let text =
+            "module clix86\nfunc f(1) -> ret {\n    mov rax, rdi\n    add rax, rdi\n    ret\n}\n\
+                    func main(0) -> ret {\n    mov rdi, 7\n    call f\n    ret\n}\n";
+        manta_x86::X86Frontend.assemble(text).unwrap()
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod builder;
 pub mod cfg;
 pub mod dom;
 mod externs;
-mod frontend;
+pub mod frontend;
 mod function;
 mod ids;
 mod inst;

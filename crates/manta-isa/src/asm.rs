@@ -1,109 +1,43 @@
-//! A line-oriented SB-ISA assembler and disassembler.
-//!
-//! Grammar:
+//! The SB-ISA instruction syntax, on the shared top-level grammar of
+//! [`manta_ir::frontend::asm`] (`module`, `extern`, `global`,
+//! `func … {`, labels, `}`, `;` comments):
 //!
 //! ```text
-//! module <name>
-//! extern <name>, <nparams>[, ret]
-//! global <name>, <size>
-//! func <name>(<nparams>) -> ret|void {
-//! <label>:
 //!     mov r0, r1          movi r2, 42        movf r3, 1.5
 //!     add r0, r1, r2      cmp.eq r4, r1, r2
 //!     ld.w64 r5, [r7+8]   st.w32 [r7+0], r5
 //!     salloc r6, 16       lea.g r7, <global> lea.f r8, <func>
 //!     call <func>, 1      ecall <extern>, 2  icall r8, 2[, ret]
 //!     jmp <label>         brz r4, <label>    ret
-//! }
 //! ```
 //!
-//! Labels bind to the following instruction; branch operands name labels
-//! and are resolved to instruction indexes. [`disassemble`] emits text that
-//! [`assemble`] parses back to an identical [`Image`].
+//! Branch operands name labels and are resolved to instruction indexes.
+//! [`disassemble`] emits text that [`assemble`] parses back to an
+//! identical [`Image`].
 
-use std::collections::HashMap;
-use std::fmt;
+use std::convert::Infallible;
+use std::fmt::Write as _;
 
+use manta_ir::frontend::asm::{print_program, InstLine, Program};
 use manta_ir::{BinOp, CmpPred, Width};
 
-use crate::image::{Image, ImageExtern, ImageFunction, ImageGlobal};
+pub use manta_ir::frontend::asm::AsmError;
+
+use crate::image::{Image, ImageFunction};
 use crate::inst::{MachInst, Reg};
-
-/// Assembly failure with its 1-based line.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AsmError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for AsmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "assembly error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for AsmError {}
 
 type Result<T> = std::result::Result<T, AsmError>;
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T> {
-    Err(AsmError {
-        line,
-        message: message.into(),
-    })
-}
-
-fn parse_reg(ln: usize, tok: &str) -> Result<Reg> {
+fn parse_reg(l: &InstLine<'_>, tok: &str) -> Result<Reg> {
     let n: u8 = tok
         .trim()
         .strip_prefix('r')
         .and_then(|s| s.parse().ok())
-        .ok_or(AsmError {
-            line: ln,
-            message: format!("bad register `{tok}`"),
-        })?;
+        .ok_or_else(|| l.error(format!("bad register `{tok}`")))?;
     if (n as usize) >= Reg::COUNT {
-        return err(ln, format!("register out of range `{tok}`"));
+        return l.err(format!("register out of range `{tok}`"));
     }
     Ok(Reg(n))
-}
-
-/// `extern name(w64, w64) -> w64` style is accepted too for convenience, but
-/// the canonical form is `extern name, nparams[, ret]`.
-fn parse_extern(ln: usize, rest: &str) -> Result<ImageExtern> {
-    if let Some(open) = rest.find('(') {
-        let name = rest[..open].trim().to_string();
-        let close = rest.rfind(')').ok_or(AsmError {
-            line: ln,
-            message: "expected `)`".into(),
-        })?;
-        let nparams = rest[open + 1..close]
-            .split(',')
-            .filter(|p| !p.trim().is_empty())
-            .count() as u8;
-        let has_ret = rest[close..].contains("->") && !rest[close..].contains("void");
-        Ok(ImageExtern {
-            name,
-            nparams,
-            has_ret,
-        })
-    } else {
-        let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-        if parts.len() < 2 {
-            return err(ln, "extern expects `name, nparams[, ret]`");
-        }
-        let nparams: u8 = parts[1].parse().map_err(|_| AsmError {
-            line: ln,
-            message: format!("bad nparams `{}`", parts[1]),
-        })?;
-        Ok(ImageExtern {
-            name: parts[0].to_string(),
-            nparams,
-            has_ret: parts.get(2) == Some(&"ret"),
-        })
-    }
 }
 
 /// Assembles a whole program.
@@ -112,163 +46,37 @@ fn parse_extern(ln: usize, rest: &str) -> Result<ImageExtern> {
 ///
 /// Returns [`AsmError`] pointing at the offending line.
 pub fn assemble(text: &str) -> Result<Image> {
-    let mut image = Image::default();
-    // Pre-scan function names for forward references.
-    let mut func_names: Vec<String> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("func ") {
-            let name = rest.split('(').next().unwrap_or("").trim().to_string();
-            func_names.push(name);
-        }
+    let program = Program::parse(text)?;
+    let mut functions = Vec::with_capacity(program.functions.len());
+    for f in &program.functions {
+        functions.push(ImageFunction {
+            name: f.name.clone(),
+            nparams: f.nparams,
+            has_ret: f.has_ret,
+            code: program
+                .insts(f)
+                .map(|l| parse_inst(&l))
+                .collect::<Result<_>>()?,
+        });
     }
-    let func_index: HashMap<&str, u32> = func_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i as u32))
-        .collect();
-
-    // An open function body: labels seen so far plus branch fixups of
-    // `(line, inst index, label)` resolved at the closing brace.
-    type OpenFunction = (
-        ImageFunction,
-        HashMap<String, u32>,
-        Vec<(usize, usize, String)>,
-    );
-    let lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
-    let mut current: Option<OpenFunction> = None;
-
-    for (ln, line) in lines {
-        let line = line.split(';').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((ref mut func, ref mut labels, ref mut fixups)) = current {
-            if line == "}" {
-                // Resolve label fixups.
-                for (fln, idx, label) in fixups.drain(..) {
-                    let target = *labels.get(&label).ok_or(AsmError {
-                        line: fln,
-                        message: format!("undefined label `{label}`"),
-                    })?;
-                    match &mut func.code[idx] {
-                        MachInst::Jmp { target: t } | MachInst::Brz { target: t, .. } => {
-                            *t = target;
-                        }
-                        _ => unreachable!("fixup on non-branch"),
-                    }
-                }
-                let (func, _, _) = current.take().expect("current function");
-                image.functions.push(func);
-                continue;
-            }
-            if let Some(label) = line.strip_suffix(':') {
-                labels.insert(label.trim().to_string(), func.code.len() as u32);
-                continue;
-            }
-            let inst = parse_inst(ln, line, &image, &func_index, func.code.len(), fixups)?;
-            func.code.push(inst);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("module ") {
-            image.name = rest.trim().to_string();
-        } else if let Some(rest) = line.strip_prefix("extern ") {
-            image.externs.push(parse_extern(ln, rest)?);
-        } else if let Some(rest) = line.strip_prefix("global ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
-                return err(ln, "global expects `name, size`");
-            }
-            let size: u64 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad size `{}`", parts[1]),
-            })?;
-            image.globals.push(ImageGlobal {
-                name: parts[0].to_string(),
-                size,
-            });
-        } else if let Some(rest) = line.strip_prefix("func ") {
-            let rest = rest
-                .strip_suffix('{')
-                .ok_or(AsmError {
-                    line: ln,
-                    message: "expected `{`".into(),
-                })?
-                .trim();
-            let open = rest.find('(').ok_or(AsmError {
-                line: ln,
-                message: "expected `(`".into(),
-            })?;
-            let close = rest.rfind(')').ok_or(AsmError {
-                line: ln,
-                message: "expected `)`".into(),
-            })?;
-            let name = rest[..open].trim().to_string();
-            let nparams: u8 = rest[open + 1..close].trim().parse().map_err(|_| AsmError {
-                line: ln,
-                message: "func expects `(nparams)`".into(),
-            })?;
-            let has_ret = rest[close..].contains("->") && !rest[close..].contains("void");
-            current = Some((
-                ImageFunction {
-                    name,
-                    nparams,
-                    has_ret,
-                    code: Vec::new(),
-                },
-                HashMap::new(),
-                Vec::new(),
-            ));
-        } else {
-            return err(ln, format!("unexpected top-level line `{line}`"));
-        }
-    }
-    if current.is_some() {
-        return err(usize::MAX, "unterminated function body");
-    }
-    Ok(image)
+    Ok(Image {
+        name: program.name,
+        externs: program.externs,
+        globals: program.globals,
+        functions,
+    })
 }
 
-fn parse_inst(
-    ln: usize,
-    line: &str,
-    image: &Image,
-    func_index: &HashMap<&str, u32>,
-    inst_idx: usize,
-    fixups: &mut Vec<(usize, usize, String)>,
-) -> Result<MachInst> {
-    let (mn, rest) = match line.split_once(char::is_whitespace) {
+fn parse_inst(l: &InstLine<'_>) -> Result<MachInst> {
+    let (mn, rest) = match l.text.split_once(char::is_whitespace) {
         Some((m, r)) => (m, r.trim()),
-        None => (line, ""),
+        None => (l.text, ""),
     };
     let parts: Vec<&str> = if rest.is_empty() {
         Vec::new()
     } else {
         rest.split(',').map(str::trim).collect()
     };
-    let global_idx = |ln: usize, name: &str| -> Result<u32> {
-        image
-            .globals
-            .iter()
-            .position(|g| g.name == name)
-            .map(|i| i as u32)
-            .ok_or(AsmError {
-                line: ln,
-                message: format!("unknown global `{name}`"),
-            })
-    };
-    let extern_idx = |ln: usize, name: &str| -> Result<u32> {
-        image
-            .externs
-            .iter()
-            .position(|e| e.name == name)
-            .map(|i| i as u32)
-            .ok_or(AsmError {
-                line: ln,
-                message: format!("unknown extern `{name}`"),
-            })
-    };
-
     let (base, suffix) = match mn.split_once('.') {
         Some((b, s)) => (b, Some(s)),
         None => (mn, None),
@@ -277,271 +85,217 @@ fn parse_inst(
         if parts.len() == n {
             Ok(())
         } else {
-            err(
-                ln,
-                format!("`{mn}` expects {n} operands, got {}", parts.len()),
-            )
+            l.err(format!("`{mn}` expects {n} operands, got {}", parts.len()))
         }
+    };
+    let number = |tok: &str, what: &str| l.error(format!("bad {what} `{tok}`"));
+    let function = |name: &str| {
+        l.function(name)
+            .ok_or_else(|| l.error(format!("unknown function `{name}`")))
     };
     Ok(match base {
         "mov" => {
             need(2)?;
             MachInst::Mov {
-                rd: parse_reg(ln, parts[0])?,
-                rs: parse_reg(ln, parts[1])?,
+                rd: parse_reg(l, parts[0])?,
+                rs: parse_reg(l, parts[1])?,
             }
         }
         "movi" => {
             need(2)?;
-            let imm: i64 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad imm `{}`", parts[1]),
-            })?;
             MachInst::MovImm {
-                rd: parse_reg(ln, parts[0])?,
-                imm,
+                rd: parse_reg(l, parts[0])?,
+                imm: parts[1].parse().map_err(|_| number(parts[1], "imm"))?,
             }
         }
         "movf" => {
             need(2)?;
-            let imm: f64 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad float `{}`", parts[1]),
-            })?;
             MachInst::MovFloat {
-                rd: parse_reg(ln, parts[0])?,
-                imm,
+                rd: parse_reg(l, parts[0])?,
+                imm: parts[1].parse().map_err(|_| number(parts[1], "float"))?,
             }
         }
         "cmp" => {
             need(3)?;
-            let pred = suffix.and_then(CmpPred::from_mnemonic).ok_or(AsmError {
-                line: ln,
-                message: format!("bad predicate `{mn}`"),
-            })?;
+            let pred = suffix
+                .and_then(CmpPred::from_mnemonic)
+                .ok_or_else(|| l.error(format!("bad predicate `{mn}`")))?;
             MachInst::Cmp {
                 pred,
-                rd: parse_reg(ln, parts[0])?,
-                rs: parse_reg(ln, parts[1])?,
-                rt: parse_reg(ln, parts[2])?,
+                rd: parse_reg(l, parts[0])?,
+                rs: parse_reg(l, parts[1])?,
+                rt: parse_reg(l, parts[2])?,
             }
         }
         "ld" => {
             need(2)?;
-            let width = parse_mem_width(ln, suffix)?;
-            let (rs, off) = parse_mem(ln, parts[1])?;
+            let width = parse_mem_width(l, suffix)?;
+            let (rs, off) = parse_mem(l, parts[1])?;
             MachInst::Load {
                 width,
-                rd: parse_reg(ln, parts[0])?,
+                rd: parse_reg(l, parts[0])?,
                 rs,
                 off,
             }
         }
         "st" => {
             need(2)?;
-            let width = parse_mem_width(ln, suffix)?;
-            let (rd, off) = parse_mem(ln, parts[0])?;
+            let width = parse_mem_width(l, suffix)?;
+            let (rd, off) = parse_mem(l, parts[0])?;
             MachInst::Store {
                 width,
                 rd,
                 off,
-                rs: parse_reg(ln, parts[1])?,
+                rs: parse_reg(l, parts[1])?,
             }
         }
         "salloc" => {
             need(2)?;
-            let size: u32 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad size `{}`", parts[1]),
-            })?;
             MachInst::Salloc {
-                rd: parse_reg(ln, parts[0])?,
-                size,
+                rd: parse_reg(l, parts[0])?,
+                size: parts[1].parse().map_err(|_| number(parts[1], "size"))?,
             }
         }
         "lea" => {
             need(2)?;
-            let rd = parse_reg(ln, parts[0])?;
+            let rd = parse_reg(l, parts[0])?;
             match suffix {
                 Some("g") => MachInst::LeaGlobal {
                     rd,
-                    index: global_idx(ln, parts[1])?,
+                    index: l
+                        .global(parts[1])
+                        .ok_or_else(|| l.error(format!("unknown global `{}`", parts[1])))?,
                 },
-                Some("f") => {
-                    let index = *func_index.get(parts[1]).ok_or(AsmError {
-                        line: ln,
-                        message: format!("unknown function `{}`", parts[1]),
-                    })?;
-                    MachInst::LeaFunc { rd, index }
-                }
-                _ => return err(ln, "lea needs `.g` or `.f` suffix"),
+                Some("f") => MachInst::LeaFunc {
+                    rd,
+                    index: function(parts[1])?,
+                },
+                _ => return l.err("lea needs `.g` or `.f` suffix"),
             }
         }
         "call" => {
             need(2)?;
-            let index = *func_index.get(parts[0]).ok_or(AsmError {
-                line: ln,
-                message: format!("unknown function `{}`", parts[0]),
-            })?;
-            let nargs: u8 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: "bad nargs".into(),
-            })?;
-            MachInst::Call { index, nargs }
+            MachInst::Call {
+                index: function(parts[0])?,
+                nargs: parts[1].parse().map_err(|_| number(parts[1], "nargs"))?,
+            }
         }
         "ecall" => {
             need(2)?;
-            let index = extern_idx(ln, parts[0])?;
-            let nargs: u8 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: "bad nargs".into(),
-            })?;
-            MachInst::ECall { index, nargs }
+            MachInst::ECall {
+                index: l
+                    .extern_index(parts[0])
+                    .ok_or_else(|| l.error(format!("unknown extern `{}`", parts[0])))?,
+                nargs: parts[1].parse().map_err(|_| number(parts[1], "nargs"))?,
+            }
         }
         "icall" => {
             if parts.len() < 2 || parts.len() > 3 {
-                return err(ln, "icall expects `rs, nargs[, ret]`");
+                return l.err("icall expects `rs, nargs[, ret]`");
             }
-            let rs = parse_reg(ln, parts[0])?;
-            let nargs: u8 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: "bad nargs".into(),
-            })?;
-            let ret = parts.get(2) == Some(&"ret");
-            MachInst::ICall { rs, nargs, ret }
+            MachInst::ICall {
+                rs: parse_reg(l, parts[0])?,
+                nargs: parts[1].parse().map_err(|_| number(parts[1], "nargs"))?,
+                ret: parts.get(2) == Some(&"ret"),
+            }
         }
         "jmp" => {
             need(1)?;
-            fixups.push((ln, inst_idx, parts[0].to_string()));
-            MachInst::Jmp { target: 0 }
+            MachInst::Jmp {
+                target: l.label(parts[0])?,
+            }
         }
         "brz" => {
             need(2)?;
-            let rs = parse_reg(ln, parts[0])?;
-            fixups.push((ln, inst_idx, parts[1].to_string()));
-            MachInst::Brz { rs, target: 0 }
+            MachInst::Brz {
+                rs: parse_reg(l, parts[0])?,
+                target: l.label(parts[1])?,
+            }
         }
         "ret" => MachInst::Ret,
         other => {
-            let op = BinOp::from_mnemonic(other).ok_or(AsmError {
-                line: ln,
-                message: format!("unknown mnemonic `{other}`"),
-            })?;
+            let op = BinOp::from_mnemonic(other)
+                .ok_or_else(|| l.error(format!("unknown mnemonic `{other}`")))?;
             need(3)?;
             MachInst::Bin {
                 op,
-                rd: parse_reg(ln, parts[0])?,
-                rs: parse_reg(ln, parts[1])?,
-                rt: parse_reg(ln, parts[2])?,
+                rd: parse_reg(l, parts[0])?,
+                rs: parse_reg(l, parts[1])?,
+                rt: parse_reg(l, parts[2])?,
             }
         }
     })
 }
 
-fn parse_mem_width(ln: usize, suffix: Option<&str>) -> Result<Width> {
-    let s = suffix.ok_or(AsmError {
-        line: ln,
-        message: "memory access needs `.w<bits>`".into(),
-    })?;
+fn parse_mem_width(l: &InstLine<'_>, suffix: Option<&str>) -> Result<Width> {
+    let s = suffix.ok_or_else(|| l.error("memory access needs `.w<bits>`"))?;
     s.strip_prefix('w')
         .and_then(|b| b.parse::<u32>().ok())
         .and_then(Width::from_bits)
-        .ok_or(AsmError {
-            line: ln,
-            message: format!("bad width `{s}`"),
-        })
+        .ok_or_else(|| l.error(format!("bad width `{s}`")))
 }
 
 /// `[rN+off]`
-fn parse_mem(ln: usize, tok: &str) -> Result<(Reg, u32)> {
+fn parse_mem(l: &InstLine<'_>, tok: &str) -> Result<(Reg, u32)> {
     let inner = tok
         .strip_prefix('[')
         .and_then(|s| s.strip_suffix(']'))
-        .ok_or(AsmError {
-            line: ln,
-            message: format!("bad memory operand `{tok}`"),
-        })?;
+        .ok_or_else(|| l.error(format!("bad memory operand `{tok}`")))?;
     match inner.split_once('+') {
         Some((r, o)) => {
-            let off: u32 = o.trim().parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad offset `{o}`"),
-            })?;
-            Ok((parse_reg(ln, r)?, off))
+            let off = o
+                .trim()
+                .parse()
+                .map_err(|_| l.error(format!("bad offset `{o}`")))?;
+            Ok((parse_reg(l, r)?, off))
         }
-        None => Ok((parse_reg(ln, inner)?, 0)),
+        None => Ok((parse_reg(l, inner)?, 0)),
     }
 }
 
 /// Renders an image back to assembly text that [`assemble`] parses to an
-/// identical image.
+/// identical image. Branch targets get `L<index>` labels.
 pub fn disassemble(image: &Image) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "module {}", image.name);
-    for e in &image.externs {
-        let ret = if e.has_ret { ", ret" } else { "" };
-        let _ = writeln!(out, "extern {}, {}{}", e.name, e.nparams, ret);
-    }
-    for g in &image.globals {
-        let _ = writeln!(out, "global {}, {}", g.name, g.size);
-    }
-    for f in &image.functions {
-        let ret = if f.has_ret { "ret" } else { "void" };
-        let _ = writeln!(out, "\nfunc {}({}) -> {} {{", f.name, f.nparams, ret);
-        // Labels at branch targets.
+    let body = |out: &mut String, _: usize, f: &ImageFunction| {
         let mut targets: Vec<u32> = f.code.iter().flat_map(MachInst::targets).collect();
         targets.sort_unstable();
         targets.dedup();
         for (i, inst) in f.code.iter().enumerate() {
-            if targets.contains(&(i as u32)) {
+            if targets.binary_search(&(i as u32)).is_ok() {
                 let _ = writeln!(out, "L{i}:");
             }
-            match inst {
-                MachInst::Jmp { target } => {
-                    let _ = writeln!(out, "    jmp L{target}");
-                }
-                MachInst::Brz { rs, target } => {
-                    let _ = writeln!(out, "    brz {rs}, L{target}");
-                }
+            let _ = match inst {
+                MachInst::Jmp { target } => writeln!(out, "    jmp L{target}"),
+                MachInst::Brz { rs, target } => writeln!(out, "    brz {rs}, L{target}"),
                 MachInst::Call { index, nargs } => {
-                    let _ = writeln!(
-                        out,
-                        "    call {}, {}",
-                        image.functions[*index as usize].name, nargs
-                    );
+                    let callee = &image.functions[*index as usize].name;
+                    writeln!(out, "    call {callee}, {nargs}")
                 }
                 MachInst::ECall { index, nargs } => {
-                    let _ = writeln!(
-                        out,
-                        "    ecall {}, {}",
-                        image.externs[*index as usize].name, nargs
-                    );
+                    let callee = &image.externs[*index as usize].name;
+                    writeln!(out, "    ecall {callee}, {nargs}")
                 }
                 MachInst::LeaGlobal { rd, index } => {
-                    let _ = writeln!(
-                        out,
-                        "    lea.g {rd}, {}",
-                        image.globals[*index as usize].name
-                    );
+                    let g = &image.globals[*index as usize].name;
+                    writeln!(out, "    lea.g {rd}, {g}")
                 }
                 MachInst::LeaFunc { rd, index } => {
-                    let _ = writeln!(
-                        out,
-                        "    lea.f {rd}, {}",
-                        image.functions[*index as usize].name
-                    );
+                    let f = &image.functions[*index as usize].name;
+                    writeln!(out, "    lea.f {rd}, {f}")
                 }
-                other => {
-                    let _ = writeln!(out, "    {other}");
-                }
-            }
+                other => writeln!(out, "    {other}"),
+            };
         }
-        // A trailing label (branch to one-past-the-end) cannot occur: the
-        // assembler only creates labels it later binds.
-        out.push_str("}\n");
-    }
-    out
+        Ok::<(), Infallible>(())
+    };
+    let Ok(text) = print_program(
+        &image.name,
+        &image.externs,
+        &image.globals,
+        &image.functions,
+        body,
+    );
+    text
 }
 
 #[cfg(test)]

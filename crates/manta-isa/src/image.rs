@@ -3,40 +3,19 @@
 //! An [`Image`] is the in-memory form of a whole program: external
 //! declarations, global regions, and functions with their machine code.
 //! [`encode`]/[`decode`] serialize it to/from bytes — the artifact a
-//! "stripped binary" is in this reproduction. Function and global *names*
-//! are carried for evaluation bookkeeping (the ground-truth oracle keys on
-//! them), mirroring the paper keeping `.debug_line` only to score results;
-//! the lifter and analyses never consume types from the image because the
-//! format has none.
+//! "stripped binary" is in this reproduction. After the `SBF1` magic the
+//! layout is the shared one of [`manta_ir::frontend::image`]; each
+//! function row ends with its instruction count and encoded instructions.
 
-use std::fmt;
-
+use manta_ir::frontend::image::{decode_tables, encode_tables, FunctionEntry, PutLe, Reader};
 use manta_ir::{BinOp, CmpPred, Width};
+
+pub use manta_ir::frontend::image::{ImageError, ImageExtern, ImageGlobal};
 
 use crate::inst::{MachInst, Reg};
 
 /// Magic bytes identifying an SBF image.
 pub const MAGIC: &[u8; 4] = b"SBF1";
-
-/// An external declaration in an image.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImageExtern {
-    /// Symbol name.
-    pub name: String,
-    /// Parameter count (ABI-visible).
-    pub nparams: u8,
-    /// Whether a value is returned.
-    pub has_ret: bool,
-}
-
-/// A global region in an image.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImageGlobal {
-    /// Symbol name.
-    pub name: String,
-    /// Region size in bytes.
-    pub size: u64,
-}
 
 /// A function in an image.
 #[derive(Clone, PartialEq, Debug)]
@@ -49,6 +28,18 @@ pub struct ImageFunction {
     pub has_ret: bool,
     /// Machine code.
     pub code: Vec<MachInst>,
+}
+
+impl FunctionEntry for ImageFunction {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn nparams(&self) -> u8 {
+        self.nparams
+    }
+    fn has_ret(&self) -> bool {
+        self.has_ret
+    }
 }
 
 /// A whole SB-ISA program.
@@ -71,90 +62,28 @@ impl Image {
     }
 }
 
-/// Decoding failure.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImageError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid SBF image: {}", self.message)
-    }
-}
-
-impl std::error::Error for ImageError {}
-
 fn err<T>(message: impl Into<String>) -> Result<T, ImageError> {
-    Err(ImageError {
-        message: message.into(),
-    })
+    Err(ImageError::new(message))
 }
 
 /// Serializes `image` to bytes.
 pub fn encode(image: &Image) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.put_slice(MAGIC);
-    put_str(&mut buf, &image.name);
-    buf.put_u32_le(image.externs.len() as u32);
-    for e in &image.externs {
-        put_str(&mut buf, &e.name);
-        buf.put_u8(e.nparams);
-        buf.put_u8(e.has_ret as u8);
-    }
-    buf.put_u32_le(image.globals.len() as u32);
-    for g in &image.globals {
-        put_str(&mut buf, &g.name);
-        buf.put_u64_le(g.size);
-    }
-    buf.put_u32_le(image.functions.len() as u32);
-    for f in &image.functions {
-        put_str(&mut buf, &f.name);
-        buf.put_u8(f.nparams);
-        buf.put_u8(f.has_ret as u8);
-        buf.put_u32_le(f.code.len() as u32);
-        for inst in &f.code {
-            encode_inst(&mut buf, inst);
-        }
-    }
+    buf.extend_from_slice(MAGIC);
+    encode_tables(
+        &mut buf,
+        &image.name,
+        &image.externs,
+        &image.globals,
+        &image.functions,
+        |buf, f| {
+            buf.put_u32_le(f.code.len() as u32);
+            for inst in &f.code {
+                encode_inst(buf, inst);
+            }
+        },
+    );
     buf
-}
-
-/// The little subset of `bytes::BufMut` the encoder needs, implemented on
-/// `Vec<u8>` so the format needs no external crate.
-trait PutLe {
-    fn put_slice(&mut self, s: &[u8]);
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_i64_le(&mut self, v: i64);
-    fn put_f64_le(&mut self, v: f64);
-}
-
-impl PutLe for Vec<u8> {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_i64_le(&mut self, v: i64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f64_le(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 /// Deserializes an image from bytes.
@@ -162,86 +91,31 @@ impl PutLe for Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ImageError`] for truncated or malformed input.
-pub fn decode(mut bytes: &[u8]) -> Result<Image, ImageError> {
-    if bytes.len() < 4 || &bytes[..4] != MAGIC {
-        return err("bad magic");
-    }
-    bytes = &bytes[4..];
-    let name = get_str(&mut bytes)?;
-    let mut image = Image {
+pub fn decode(bytes: &[u8]) -> Result<Image, ImageError> {
+    let mut r = Reader::after_magic(bytes, MAGIC, "SBF")?;
+    let (name, externs, globals, functions) =
+        decode_tables(&mut r, |name, nparams, has_ret, r| {
+            let n_code = r.u32()? as usize;
+            // Every instruction takes at least one byte, which bounds the
+            // allocation by the input's size.
+            let mut code = Vec::with_capacity(n_code.min(r.remaining()));
+            for _ in 0..n_code {
+                code.push(decode_inst(r)?);
+            }
+            Ok(ImageFunction {
+                name,
+                nparams,
+                has_ret,
+                code,
+            })
+        })?;
+    Ok(Image {
         name,
-        ..Default::default()
-    };
-    let n_ext = get_u32(&mut bytes)? as usize;
-    for _ in 0..n_ext {
-        let name = get_str(&mut bytes)?;
-        let nparams = get_u8(&mut bytes)?;
-        let has_ret = get_u8(&mut bytes)? != 0;
-        image.externs.push(ImageExtern {
-            name,
-            nparams,
-            has_ret,
-        });
-    }
-    let n_glob = get_u32(&mut bytes)? as usize;
-    for _ in 0..n_glob {
-        let name = get_str(&mut bytes)?;
-        let size = get_u64(&mut bytes)?;
-        image.globals.push(ImageGlobal { name, size });
-    }
-    let n_fn = get_u32(&mut bytes)? as usize;
-    for _ in 0..n_fn {
-        let name = get_str(&mut bytes)?;
-        let nparams = get_u8(&mut bytes)?;
-        let has_ret = get_u8(&mut bytes)? != 0;
-        let n_code = get_u32(&mut bytes)? as usize;
-        let mut code = Vec::with_capacity(n_code);
-        for _ in 0..n_code {
-            code.push(decode_inst(&mut bytes)?);
-        }
-        image.functions.push(ImageFunction {
-            name,
-            nparams,
-            has_ret,
-            code,
-        });
-    }
-    Ok(image)
+        externs,
+        globals,
+        functions,
+    })
 }
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(bytes: &mut &[u8]) -> Result<String, ImageError> {
-    let len = get_u16(bytes)? as usize;
-    if bytes.len() < len {
-        return err("truncated string");
-    }
-    let s = String::from_utf8(bytes[..len].to_vec()).map_err(|_| ImageError {
-        message: "non-utf8 string".into(),
-    })?;
-    *bytes = &bytes[len..];
-    Ok(s)
-}
-
-macro_rules! getter {
-    ($name:ident, $ty:ty, $size:expr) => {
-        fn $name(bytes: &mut &[u8]) -> Result<$ty, ImageError> {
-            let Some((head, rest)) = bytes.split_first_chunk::<$size>() else {
-                return err("truncated input");
-            };
-            let v = <$ty>::from_le_bytes(*head);
-            *bytes = rest;
-            Ok(v)
-        }
-    };
-}
-getter!(get_u8, u8, 1);
-getter!(get_u16, u16, 2);
-getter!(get_u32, u32, 4);
-getter!(get_u64, u64, 8);
 
 fn width_code(w: Width) -> u8 {
     match w {
@@ -328,12 +202,12 @@ fn encode_inst(buf: &mut Vec<u8>, inst: &MachInst) {
         MachInst::MovImm { rd, imm } => {
             buf.put_u8(1);
             buf.put_u8(rd.0);
-            buf.put_i64_le(*imm);
+            buf.put_u64_le(*imm as u64);
         }
         MachInst::MovFloat { rd, imm } => {
             buf.put_u8(2);
             buf.put_u8(rd.0);
-            buf.put_f64_le(*imm);
+            buf.put_u64_le(imm.to_bits());
         }
         MachInst::Bin { op, rd, rs, rt } => {
             buf.put_u8(3);
@@ -407,76 +281,74 @@ fn encode_inst(buf: &mut Vec<u8>, inst: &MachInst) {
     }
 }
 
-fn decode_inst(bytes: &mut &[u8]) -> Result<MachInst, ImageError> {
-    let opcode = get_u8(bytes)?;
+fn decode_inst(r: &mut Reader<'_>) -> Result<MachInst, ImageError> {
+    let opcode = r.u8()?;
     Ok(match opcode {
         0 => MachInst::Mov {
-            rd: reg(get_u8(bytes)?)?,
-            rs: reg(get_u8(bytes)?)?,
+            rd: reg(r.u8()?)?,
+            rs: reg(r.u8()?)?,
         },
         1 => MachInst::MovImm {
-            rd: reg(get_u8(bytes)?)?,
-            imm: get_u64(bytes)? as i64,
+            rd: reg(r.u8()?)?,
+            imm: r.u64()? as i64,
         },
         2 => MachInst::MovFloat {
-            rd: reg(get_u8(bytes)?)?,
-            imm: f64::from_bits(get_u64(bytes)?),
+            rd: reg(r.u8()?)?,
+            imm: f64::from_bits(r.u64()?),
         },
         3 => MachInst::Bin {
-            op: binop_from(get_u8(bytes)?)?,
-            rd: reg(get_u8(bytes)?)?,
-            rs: reg(get_u8(bytes)?)?,
-            rt: reg(get_u8(bytes)?)?,
+            op: binop_from(r.u8()?)?,
+            rd: reg(r.u8()?)?,
+            rs: reg(r.u8()?)?,
+            rt: reg(r.u8()?)?,
         },
         4 => MachInst::Cmp {
-            pred: pred_from(get_u8(bytes)?)?,
-            rd: reg(get_u8(bytes)?)?,
-            rs: reg(get_u8(bytes)?)?,
-            rt: reg(get_u8(bytes)?)?,
+            pred: pred_from(r.u8()?)?,
+            rd: reg(r.u8()?)?,
+            rs: reg(r.u8()?)?,
+            rt: reg(r.u8()?)?,
         },
         5 => MachInst::Load {
-            width: width_from(get_u8(bytes)?)?,
-            rd: reg(get_u8(bytes)?)?,
-            rs: reg(get_u8(bytes)?)?,
-            off: get_u32(bytes)?,
+            width: width_from(r.u8()?)?,
+            rd: reg(r.u8()?)?,
+            rs: reg(r.u8()?)?,
+            off: r.u32()?,
         },
         6 => MachInst::Store {
-            width: width_from(get_u8(bytes)?)?,
-            rd: reg(get_u8(bytes)?)?,
-            off: get_u32(bytes)?,
-            rs: reg(get_u8(bytes)?)?,
+            width: width_from(r.u8()?)?,
+            rd: reg(r.u8()?)?,
+            off: r.u32()?,
+            rs: reg(r.u8()?)?,
         },
         7 => MachInst::Salloc {
-            rd: reg(get_u8(bytes)?)?,
-            size: get_u32(bytes)?,
+            rd: reg(r.u8()?)?,
+            size: r.u32()?,
         },
         8 => MachInst::LeaGlobal {
-            rd: reg(get_u8(bytes)?)?,
-            index: get_u32(bytes)?,
+            rd: reg(r.u8()?)?,
+            index: r.u32()?,
         },
         9 => MachInst::LeaFunc {
-            rd: reg(get_u8(bytes)?)?,
-            index: get_u32(bytes)?,
+            rd: reg(r.u8()?)?,
+            index: r.u32()?,
         },
         10 => MachInst::Call {
-            index: get_u32(bytes)?,
-            nargs: get_u8(bytes)?,
+            index: r.u32()?,
+            nargs: r.u8()?,
         },
         11 => MachInst::ECall {
-            index: get_u32(bytes)?,
-            nargs: get_u8(bytes)?,
+            index: r.u32()?,
+            nargs: r.u8()?,
         },
         12 => MachInst::ICall {
-            rs: reg(get_u8(bytes)?)?,
-            nargs: get_u8(bytes)?,
-            ret: get_u8(bytes)? != 0,
+            rs: reg(r.u8()?)?,
+            nargs: r.u8()?,
+            ret: r.u8()? != 0,
         },
-        13 => MachInst::Jmp {
-            target: get_u32(bytes)?,
-        },
+        13 => MachInst::Jmp { target: r.u32()? },
         14 => MachInst::Brz {
-            rs: reg(get_u8(bytes)?)?,
-            target: get_u32(bytes)?,
+            rs: reg(r.u8()?)?,
+            target: r.u32()?,
         },
         15 => MachInst::Ret,
         other => return err(format!("bad opcode {other}")),
@@ -576,19 +448,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_register() {
-        let mut bytes = Vec::new();
-        bytes.put_slice(MAGIC);
-        put_str(&mut bytes, "m");
-        bytes.put_u32_le(0); // externs
-        bytes.put_u32_le(0); // globals
-        bytes.put_u32_le(1); // one function
-        put_str(&mut bytes, "f");
-        bytes.put_u8(0);
-        bytes.put_u8(0);
-        bytes.put_u32_le(1);
-        bytes.put_u8(0); // mov
-        bytes.put_u8(99); // bad register
-        bytes.put_u8(0);
+        let image = Image {
+            functions: vec![ImageFunction {
+                name: "f".into(),
+                nparams: 0,
+                has_ret: false,
+                code: vec![MachInst::Mov {
+                    rd: Reg(0),
+                    rs: Reg(0),
+                }],
+            }],
+            ..Default::default()
+        };
+        // The image ends with the `mov`: opcode, rd, rs.
+        let mut bytes = encode(&image);
+        let rd = bytes.len() - 2;
+        bytes[rd] = 99;
         let e = decode(&bytes).unwrap_err();
         assert!(e.message.contains("register"));
     }

@@ -168,14 +168,6 @@ pub enum MachInst {
 }
 
 impl MachInst {
-    /// Whether this instruction ends a basic block.
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            MachInst::Jmp { .. } | MachInst::Brz { .. } | MachInst::Ret
-        )
-    }
-
     /// Branch targets referenced by this instruction.
     pub fn targets(&self) -> Vec<u32> {
         match self {
@@ -225,27 +217,19 @@ mod tests {
 
     #[test]
     fn terminators_and_targets() {
-        assert!(MachInst::Ret.is_terminator());
-        assert!(MachInst::Jmp { target: 3 }.is_terminator());
-        assert!(MachInst::Brz {
+        let brz = MachInst::Brz {
             rs: Reg(2),
-            target: 9
-        }
-        .is_terminator());
-        assert!(!MachInst::Mov {
+            target: 9,
+        };
+        assert_eq!(brz.targets(), vec![9]);
+        assert_eq!(MachInst::Jmp { target: 3 }.targets(), vec![3]);
+        assert!(MachInst::Ret.targets().is_empty());
+        assert!(MachInst::Mov {
             rd: Reg(0),
             rs: Reg(1)
         }
-        .is_terminator());
-        assert_eq!(
-            MachInst::Brz {
-                rs: Reg(2),
-                target: 9
-            }
-            .targets(),
-            vec![9]
-        );
-        assert!(MachInst::Ret.targets().is_empty());
+        .targets()
+        .is_empty());
     }
 
     #[test]

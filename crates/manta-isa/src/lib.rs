@@ -10,10 +10,14 @@
 //!
 //! * [`inst`] — the machine instruction set (16 GP registers, loads and
 //!   stores with byte offsets, arithmetic, compares, calls, branches).
-//! * [`asm`] — a line-oriented assembler with labels.
+//! * [`asm`] — the SB-ISA instruction syntax and disassembler.
 //! * [`image`] — the SBF container: encode/decode whole programs to bytes.
-//! * [`lift`] — decoder + on-the-fly SSA construction (Braun et al.) into
-//!   a [`manta_ir::Module`].
+//! * [`lift`] — the meaning of each instruction in SSA (Braun et al.)
+//!   terms, producing a [`manta_ir::Module`].
+//!
+//! The symbol tables and their codec, the assembler's top-level grammar
+//! and the lift skeleton are shared with every ISA in
+//! [`manta_ir::frontend`].
 //!
 //! ```
 //! use manta_isa::{asm, image, lift};

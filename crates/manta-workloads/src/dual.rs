@@ -37,6 +37,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use manta_ir::frontend::image::{ImageExtern, ImageGlobal};
 use manta_ir::{
     BinOp, BlockId, Callee, CmpPred, ConstKind, Function, InstId, InstKind, Module, Terminator,
     ValueId, ValueKind, Width,
@@ -218,12 +219,9 @@ struct SbBackend {
 }
 
 impl SbBackend {
-    fn new(name: &str) -> SbBackend {
+    fn new(image: sb_image::Image) -> SbBackend {
         SbBackend {
-            image: sb_image::Image {
-                name: name.to_string(),
-                ..Default::default()
-            },
+            image,
             code: Vec::new(),
             labels: HashMap::new(),
             fixups: Vec::new(),
@@ -464,9 +462,9 @@ struct X86Backend {
 }
 
 impl X86Backend {
-    fn new(name: &str) -> X86Backend {
+    fn new(builder: ImageBuilder) -> X86Backend {
         X86Backend {
-            builder: ImageBuilder::new(name),
+            builder,
             body: Vec::new(),
             alloca_disp: Vec::new(),
             spill_disp: 0,
@@ -1734,25 +1732,29 @@ pub fn emit_dual(module: &Module) -> Result<DualEncoding, EmitError> {
     let fnames: Vec<String> = module.functions().map(|f| f.name().to_string()).collect();
     let gnames: Vec<String> = module.globals().map(|g| g.name.clone()).collect();
     let enames: Vec<String> = module.externs().map(|e| e.name.clone()).collect();
-    let mut sbb = SbBackend::new(module.name());
-    let mut xb = X86Backend::new(module.name());
-    for e in module.externs() {
-        let nparams = e.param_widths.len() as u8;
-        let has_ret = e.ret_width.is_some();
-        sbb.image.externs.push(sb_image::ImageExtern {
+    // One symbol table, shared by both containers.
+    let externs: Vec<ImageExtern> = module
+        .externs()
+        .map(|e| ImageExtern {
             name: e.name.clone(),
-            nparams,
-            has_ret,
-        });
-        xb.builder.declare_extern(&e.name, nparams, has_ret);
-    }
-    for g in module.globals() {
-        sbb.image.globals.push(sb_image::ImageGlobal {
+            nparams: e.param_widths.len() as u8,
+            has_ret: e.ret_width.is_some(),
+        })
+        .collect();
+    let globals: Vec<ImageGlobal> = module
+        .globals()
+        .map(|g| ImageGlobal {
             name: g.name.clone(),
             size: g.size,
-        });
-        xb.builder.declare_global(&g.name, g.size);
-    }
+        })
+        .collect();
+    let mut sbb = SbBackend::new(sb_image::Image {
+        name: module.name().to_string(),
+        externs: externs.clone(),
+        globals: globals.clone(),
+        functions: Vec::new(),
+    });
+    let mut xb = X86Backend::new(ImageBuilder::new(module.name(), externs, globals));
     for f in module.functions() {
         let low = Lowering::build(module, f, &fnames, &gnames, &enames)?;
         low.emit(&mut sbb)?;
@@ -1816,6 +1818,30 @@ mod tests {
         for seed in [1, 2, 3, 7, 11, 42] {
             let prog = generate(&spec(10, seed));
             assert_parity(&prog.module);
+        }
+    }
+
+    /// SBF and XLF bytes of fixed seeds, fingerprinted: the on-disk
+    /// layouts are a contract, so any codec change that moves a byte
+    /// fails here.
+    #[test]
+    fn container_bytes_are_pinned() {
+        const PINNED: [(u64, u64, u64); 6] = [
+            (1, 0x1004dfa4b2d435f8, 0xbd2b8a2cd93e6768),
+            (2, 0x3e878f9ef5abf033, 0xf46d48b626b73937),
+            (3, 0x17d3c447ee9267df, 0x4cbbe5291046048f),
+            (7, 0x7d86aca3ba6a744e, 0xc1f64def10c48133),
+            (11, 0x05d6c7cd9b1cfa6f, 0x5cf451607f837293),
+            (42, 0x47d81040720b3dd9, 0xdb7e629b89051e18),
+        ];
+        for (seed, sb, x86) in PINNED {
+            let dual = emit_dual(&generate(&spec(12, seed)).module).unwrap();
+            let got = (
+                manta_store::hash_bytes(&dual.sb_bytes()),
+                manta_store::hash_bytes(&dual.x86_bytes()),
+            );
+            assert!(!dual.sb.externs.is_empty() && !dual.sb.globals.is_empty());
+            assert_eq!(got, (sb, x86), "seed {seed}");
         }
     }
 

@@ -1,13 +1,8 @@
-//! A line-oriented Intel-syntax assembler and disassembler for the subset.
-//!
-//! Grammar (mirrors the SB-ISA assembler's shape):
+//! The Intel-like instruction syntax of the x86-64 subset, on the shared
+//! top-level grammar of [`manta_ir::frontend::asm`] (`module`, `extern`,
+//! `global`, `func … {`, labels, `}`, `;` comments):
 //!
 //! ```text
-//! module <name>
-//! extern <name>, <nparams>[, ret]
-//! global <name>, <size>
-//! func <name>(<nparams>) -> ret|void {
-//! <label>:
 //!     push rbp            mov rbp, rsp       sub rsp, 32
 //!     mov rax, rbx        mov eax, ebx       mov rax, 42
 //!     mov rax, qword [rbp-8]                 mov dword [rbp-8], eax
@@ -19,46 +14,26 @@
 //!     test rax, rax       shl rax, 3
 //!     je <label>          jmp <label>
 //!     call <func|extern>  call rax           ret
-//! }
 //! ```
 //!
-//! Labels bind to the next instruction. `call` resolves function names
-//! first, then externs (through their PLT stub), then registers.
+//! `call` resolves function names first, then externs (through their PLT
+//! stub), then registers. The [`ImageBuilder`] lays the bodies out.
 //! [`disassemble`] renders an image back to text that [`assemble`] parses
 //! to an identical image.
 
-use std::fmt;
 use std::fmt::Write as _;
 
+use manta_ir::frontend::asm::{print_program, InstLine, Line, Program};
+
+pub use manta_ir::frontend::asm::AsmError;
+
 use crate::decode::decode_all;
-use crate::image::{rip_target, Image, ImageBuilder, ImageError, SymInst, TEXT_BASE};
+use crate::image::{
+    rip_target, Image, ImageBuilder, ImageError, ImageFunction, SymInst, TEXT_BASE,
+};
 use crate::inst::{Alu, Cc, Gpr, Inst, Mem, OpWidth, Rm, Shift};
 
-/// Assembly failure with its 1-based line.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AsmError {
-    /// 1-based line number (0 for link-stage errors).
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for AsmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "assembly error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for AsmError {}
-
 type Result<T> = std::result::Result<T, AsmError>;
-
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T> {
-    Err(AsmError {
-        line,
-        message: message.into(),
-    })
-}
 
 /// Parses a register name at any width.
 fn parse_reg(tok: &str) -> Option<(Gpr, OpWidth)> {
@@ -110,13 +85,13 @@ enum Operand {
 
 /// Parses `[base]`, `[base+disp]`, `[base-disp]`, `[base+index*scale+disp]`,
 /// `[rip+disp]`, with an optional size keyword in front.
-fn parse_operand(ln: usize, tok: &str) -> Result<Operand> {
+fn parse_operand(l: &InstLine<'_>, tok: &str) -> Result<Operand> {
     let tok = tok.trim();
     // Optional `qword [...]` size prefix.
     if let Some((kw, rest)) = tok.split_once(char::is_whitespace) {
         if let Some(w) = parse_size_keyword(kw) {
-            let Operand::Mem(None, mem) = parse_operand(ln, rest.trim())? else {
-                return err(ln, format!("size keyword `{kw}` must precede `[...]`"));
+            let Operand::Mem(None, mem) = parse_operand(l, rest.trim())? else {
+                return l.err(format!("size keyword `{kw}` must precede `[...]`"));
             };
             return Ok(Operand::Mem(Some(w), mem));
         }
@@ -128,7 +103,7 @@ fn parse_operand(ln: usize, tok: &str) -> Result<Operand> {
         return Ok(Operand::Imm(v));
     }
     let Some(inner) = tok.strip_prefix('[').and_then(|s| s.strip_suffix(']')) else {
-        return err(ln, format!("bad operand `{tok}`"));
+        return l.err(format!("bad operand `{tok}`"));
     };
     // Split `a+b-c` into signed terms.
     let mut terms: Vec<(bool, String)> = Vec::new();
@@ -156,7 +131,7 @@ fn parse_operand(ln: usize, tok: &str) -> Result<Operand> {
     for (neg, term) in terms {
         if let Some((r_tok, s_tok)) = term.split_once('*') {
             let Some((r, OpWidth::B64)) = parse_reg(r_tok.trim()) else {
-                return err(ln, format!("bad index register `{r_tok}`"));
+                return l.err(format!("bad index register `{r_tok}`"));
             };
             let Some(scale) = s_tok
                 .trim()
@@ -164,44 +139,41 @@ fn parse_operand(ln: usize, tok: &str) -> Result<Operand> {
                 .ok()
                 .filter(|s| matches!(s, 1 | 2 | 4 | 8))
             else {
-                return err(ln, format!("bad scale `{s_tok}` (want 1, 2, 4 or 8)"));
+                return l.err(format!("bad scale `{s_tok}` (want 1, 2, 4 or 8)"));
             };
             if neg || index.is_some() {
-                return err(ln, "at most one positive scaled index allowed");
+                return l.err("at most one positive scaled index allowed");
             }
             index = Some((r, scale));
         } else if term == "rip" {
             if neg || rip || base.is_some() {
-                return err(ln, "rip must be the sole (positive) base");
+                return l.err("rip must be the sole (positive) base");
             }
             rip = true;
         } else if let Some((r, OpWidth::B64)) = parse_reg(&term) {
             if neg {
-                return err(ln, "registers cannot be subtracted");
+                return l.err("registers cannot be subtracted");
             }
             if base.is_none() {
                 base = Some(r);
             } else if index.is_none() {
                 index = Some((r, 1));
             } else {
-                return err(ln, "too many registers in memory operand");
+                return l.err("too many registers in memory operand");
             }
         } else if let Some(v) = parse_imm(&term) {
             disp += if neg { -v } else { v };
         } else {
-            return err(ln, format!("bad memory term `{term}`"));
+            return l.err(format!("bad memory term `{term}`"));
         }
     }
-    let disp = i32::try_from(disp).map_err(|_| AsmError {
-        line: ln,
-        message: "displacement overflows i32".into(),
-    })?;
+    let disp = i32::try_from(disp).map_err(|_| l.error("displacement overflows i32"))?;
     let mem = match (rip, base, index) {
         (true, None, None) => Mem::Rip { disp },
         (false, Some(base), None) => Mem::Base { base, disp },
         (false, Some(base), Some((index, scale))) => {
             if index == Gpr::RSP {
-                return err(ln, "rsp cannot be an index register");
+                return l.err("rsp cannot be an index register");
             }
             Mem::BaseIndex {
                 base,
@@ -210,7 +182,7 @@ fn parse_operand(ln: usize, tok: &str) -> Result<Operand> {
                 disp,
             }
         }
-        _ => return err(ln, format!("unsupported memory operand `[{inner}]`")),
+        _ => return l.err(format!("unsupported memory operand `[{inner}]`")),
     };
     Ok(Operand::Mem(None, mem))
 }
@@ -248,152 +220,74 @@ fn cc_of(mn: &str) -> Option<Cc> {
 ///
 /// # Errors
 ///
-/// Returns [`AsmError`] pointing at the offending line; link-stage failures
-/// (undefined labels/functions) report line 0.
+/// Returns [`AsmError`] pointing at the offending line; a layout failure
+/// of the whole image (a rel32 displacement overflow) reports line 0.
 pub fn assemble(text: &str) -> Result<Image> {
-    // Pre-scan names so `call` can distinguish functions from externs and
-    // forward references work.
-    let mut func_names: Vec<String> = Vec::new();
-    let mut extern_names: Vec<String> = Vec::new();
-    for line in text.lines() {
-        let line = line.split(';').next().unwrap_or("").trim();
-        if let Some(rest) = line.strip_prefix("func ") {
-            func_names.push(rest.split('(').next().unwrap_or("").trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("extern ") {
-            let name = rest.split(',').next().unwrap_or("").trim();
-            extern_names.push(name.to_string());
-        }
+    let program = Program::parse(text)?;
+    let mut builder = ImageBuilder::new(
+        program.name.clone(),
+        program.externs.clone(),
+        program.globals.clone(),
+    );
+    for f in &program.functions {
+        let body = program
+            .lines(f)
+            .map(|line| match line {
+                Line::Label(label) => Ok(SymInst::Label(label.to_string())),
+                Line::Inst(l) => parse_inst(&l),
+            })
+            .collect::<Result<_>>()?;
+        builder.function(f.name.clone(), f.nparams, f.has_ret, body);
     }
-
-    let mut builder = ImageBuilder::new("");
-    let mut module_name = String::new();
-    // An open function: (name, nparams, has_ret, body).
-    let mut current: Option<(String, u8, bool, Vec<SymInst>)> = None;
-
-    for (ln, raw) in text.lines().enumerate() {
-        let ln = ln + 1;
-        let line = raw.split(';').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((_, _, _, ref mut body)) = current {
-            if line == "}" {
-                let (name, nparams, has_ret, body) = current.take().unwrap();
-                builder.function(name, nparams, has_ret, body);
-                continue;
-            }
-            if let Some(label) = line.strip_suffix(':') {
-                body.push(SymInst::Label(label.trim().to_string()));
-                continue;
-            }
-            let inst = parse_inst(ln, line, &func_names, &extern_names)?;
-            body.push(inst);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("module ") {
-            module_name = rest.trim().to_string();
-        } else if let Some(rest) = line.strip_prefix("extern ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() < 2 {
-                return err(ln, "extern expects `name, nparams[, ret]`");
-            }
-            let nparams: u8 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad nparams `{}`", parts[1]),
-            })?;
-            builder.declare_extern(parts[0], nparams, parts.get(2) == Some(&"ret"));
-        } else if let Some(rest) = line.strip_prefix("global ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
-                return err(ln, "global expects `name, size`");
-            }
-            let size: u64 = parts[1].parse().map_err(|_| AsmError {
-                line: ln,
-                message: format!("bad size `{}`", parts[1]),
-            })?;
-            builder.declare_global(parts[0], size);
-        } else if let Some(rest) = line.strip_prefix("func ") {
-            let rest = rest
-                .strip_suffix('{')
-                .ok_or(AsmError {
-                    line: ln,
-                    message: "expected `{`".into(),
-                })?
-                .trim();
-            let open = rest.find('(').ok_or(AsmError {
-                line: ln,
-                message: "expected `(`".into(),
-            })?;
-            let close = rest.rfind(')').ok_or(AsmError {
-                line: ln,
-                message: "expected `)`".into(),
-            })?;
-            let name = rest[..open].trim().to_string();
-            let nparams: u8 = rest[open + 1..close].trim().parse().map_err(|_| AsmError {
-                line: ln,
-                message: "func expects `(nparams)`".into(),
-            })?;
-            let has_ret = rest[close..].contains("->") && !rest[close..].contains("void");
-            current = Some((name, nparams, has_ret, Vec::new()));
-        } else {
-            return err(ln, format!("unexpected top-level line `{line}`"));
-        }
-    }
-    if current.is_some() {
-        return err(usize::MAX, "unterminated function body");
-    }
-
-    let mut image = builder.build().map_err(|e: ImageError| AsmError {
-        line: 0,
-        message: e.message,
-    })?;
-    image.name = module_name;
-    Ok(image)
+    builder
+        .build()
+        .map_err(|e: ImageError| AsmError::new(0, e.message))
 }
 
-fn parse_inst(
-    ln: usize,
-    line: &str,
-    func_names: &[String],
-    extern_names: &[String],
-) -> Result<SymInst> {
-    let (mn, rest) = match line.split_once(char::is_whitespace) {
+fn parse_inst(l: &InstLine<'_>) -> Result<SymInst> {
+    let (mn, rest) = match l.text.split_once(char::is_whitespace) {
         Some((m, r)) => (m, r.trim()),
-        None => (line, ""),
+        None => (l.text, ""),
     };
     let parts: Vec<&str> = if rest.is_empty() {
         Vec::new()
     } else {
-        split_operands(rest)
+        // Commas never occur inside `[...]` in this syntax.
+        rest.split(',').map(str::trim).collect()
     };
     let need = |n: usize| -> Result<()> {
         if parts.len() == n {
             Ok(())
         } else {
-            err(
-                ln,
-                format!("`{mn}` expects {n} operands, got {}", parts.len()),
-            )
+            l.err(format!("`{mn}` expects {n} operands, got {}", parts.len()))
         }
     };
 
+    // Branches and symbol references are checked here, so an undefined
+    // name fails at its line rather than at layout.
+    let label = |name: &str| l.label(name).map(|_| name.to_string());
+    let symbol = |name: &str, kind: &str, known: Option<u32>| {
+        known
+            .map(|_| name.to_string())
+            .ok_or_else(|| l.error(format!("unknown {kind} `{name}`")))
+    };
     if let Some(cc) = cc_of(mn) {
         need(1)?;
-        return Ok(SymInst::JccLabel(cc, parts[0].to_string()));
+        return Ok(SymInst::JccLabel(cc, label(parts[0])?));
     }
 
     Ok(match mn {
         "mov" => {
             need(2)?;
-            let dst = parse_operand(ln, parts[0])?;
-            let src = parse_operand(ln, parts[1])?;
+            let dst = parse_operand(l, parts[0])?;
+            let src = parse_operand(l, parts[1])?;
             match (dst, src) {
                 (Operand::Reg(d, wd), Operand::Reg(s, ws)) => {
                     if wd != ws {
-                        return err(ln, "mov operand widths differ");
+                        return l.err("mov operand widths differ");
                     }
                     if !matches!(wd, OpWidth::B32 | OpWidth::B64) {
-                        return err(ln, "narrow reg-reg mov: use movzx/movsx");
+                        return l.err("narrow reg-reg mov: use movzx/movsx");
                     }
                     SymInst::Real(Inst::MovRR {
                         w: wd,
@@ -407,47 +301,45 @@ fn parse_inst(
                 (Operand::Reg(d, w), Operand::Mem(kw, mem)) => {
                     if let Some(kw) = kw {
                         if kw != w {
-                            return err(ln, "size keyword disagrees with register width");
+                            return l.err("size keyword disagrees with register width");
                         }
                     }
                     if !matches!(w, OpWidth::B32 | OpWidth::B64) {
-                        return err(ln, "narrow loads: use movzx/movsx");
+                        return l.err("narrow loads: use movzx/movsx");
                     }
                     SymInst::Real(Inst::MovLoad { w, dst: d, mem })
                 }
                 (Operand::Mem(kw, mem), Operand::Reg(s, w)) => {
                     if let Some(kw) = kw {
                         if kw != w {
-                            return err(ln, "size keyword disagrees with register width");
+                            return l.err("size keyword disagrees with register width");
                         }
                     }
                     SymInst::Real(Inst::MovStore { w, mem, src: s })
                 }
                 (Operand::Mem(Some(w), mem), Operand::Imm(imm)) => {
-                    let imm = i32::try_from(imm).map_err(|_| AsmError {
-                        line: ln,
-                        message: "store immediate overflows i32".into(),
-                    })?;
+                    let imm =
+                        i32::try_from(imm).map_err(|_| l.error("store immediate overflows i32"))?;
                     SymInst::Real(Inst::MovStoreImm { w, mem, imm })
                 }
                 (Operand::Mem(None, _), Operand::Imm(_)) => {
-                    return err(ln, "store of immediate needs a size keyword")
+                    return l.err("store of immediate needs a size keyword")
                 }
-                _ => return err(ln, "unsupported mov operand combination"),
+                _ => return l.err("unsupported mov operand combination"),
             }
         }
         "movzx" | "movsx" => {
             need(2)?;
-            let Operand::Reg(dst, OpWidth::B64) = parse_operand(ln, parts[0])? else {
-                return err(ln, format!("{mn} destination must be a 64-bit register"));
+            let Operand::Reg(dst, OpWidth::B64) = parse_operand(l, parts[0])? else {
+                return l.err(format!("{mn} destination must be a 64-bit register"));
             };
-            let (from, src) = match parse_operand(ln, parts[1])? {
+            let (from, src) = match parse_operand(l, parts[1])? {
                 Operand::Reg(r, w) => (w, Rm::Reg(r)),
                 Operand::Mem(Some(w), mem) => (w, Rm::Mem(mem)),
                 Operand::Mem(None, _) => {
-                    return err(ln, format!("{mn} memory source needs a size keyword"))
+                    return l.err(format!("{mn} memory source needs a size keyword"))
                 }
-                Operand::Imm(_) => return err(ln, format!("{mn} source cannot be immediate")),
+                Operand::Imm(_) => return l.err(format!("{mn} source cannot be immediate")),
             };
             let ok = matches!(
                 (mn, from),
@@ -455,7 +347,7 @@ fn parse_inst(
                     | ("movsx", OpWidth::B8 | OpWidth::B16 | OpWidth::B32)
             );
             if !ok {
-                return err(ln, format!("{mn} cannot widen from {} bits", from.bits()));
+                return l.err(format!("{mn} cannot widen from {} bits", from.bits()));
             }
             if mn == "movzx" {
                 SymInst::Real(Inst::MovZx { from, dst, src })
@@ -465,16 +357,18 @@ fn parse_inst(
         }
         "lea" => {
             need(2)?;
-            let Operand::Reg(dst, OpWidth::B64) = parse_operand(ln, parts[0])? else {
-                return err(ln, "lea destination must be a 64-bit register");
+            let Operand::Reg(dst, OpWidth::B64) = parse_operand(l, parts[0])? else {
+                return l.err("lea destination must be a 64-bit register");
             };
             if let Some(name) = parts[1].strip_prefix("func ") {
-                SymInst::LeaFunc(dst, name.trim().to_string())
+                let name = name.trim();
+                SymInst::LeaFunc(dst, symbol(name, "function", l.function(name))?)
             } else if let Some(name) = parts[1].strip_prefix("global ") {
-                SymInst::LeaGlobal(dst, name.trim().to_string())
+                let name = name.trim();
+                SymInst::LeaGlobal(dst, symbol(name, "global", l.global(name))?)
             } else {
-                let Operand::Mem(_, mem) = parse_operand(ln, parts[1])? else {
-                    return err(ln, "lea source must be a memory operand");
+                let Operand::Mem(_, mem) = parse_operand(l, parts[1])? else {
+                    return l.err("lea source must be a memory operand");
                 };
                 SymInst::Real(Inst::Lea { dst, mem })
             }
@@ -482,22 +376,20 @@ fn parse_inst(
         _ if alu_of(mn).is_some() => {
             let op = alu_of(mn).unwrap();
             need(2)?;
-            let Operand::Reg(dst, OpWidth::B64) = parse_operand(ln, parts[0])? else {
-                return err(ln, format!("{mn} destination must be a 64-bit register"));
+            let Operand::Reg(dst, OpWidth::B64) = parse_operand(l, parts[0])? else {
+                return l.err(format!("{mn} destination must be a 64-bit register"));
             };
-            match parse_operand(ln, parts[1])? {
+            match parse_operand(l, parts[1])? {
                 Operand::Reg(src, OpWidth::B64) => SymInst::Real(Inst::AluRR { op, dst, src }),
-                Operand::Reg(..) => return err(ln, format!("{mn} source must be 64-bit")),
+                Operand::Reg(..) => return l.err(format!("{mn} source must be 64-bit")),
                 Operand::Imm(imm) => {
-                    let imm = i32::try_from(imm).map_err(|_| AsmError {
-                        line: ln,
-                        message: "ALU immediate overflows i32".into(),
-                    })?;
+                    let imm =
+                        i32::try_from(imm).map_err(|_| l.error("ALU immediate overflows i32"))?;
                     SymInst::Real(Inst::AluRI { op, dst, imm })
                 }
                 Operand::Mem(kw, mem) => {
                     if matches!(kw, Some(w) if w != OpWidth::B64) {
-                        return err(ln, format!("{mn} memory source must be qword"));
+                        return l.err(format!("{mn} memory source must be qword"));
                     }
                     SymInst::Real(Inst::AluRM { op, dst, mem })
                 }
@@ -506,31 +398,31 @@ fn parse_inst(
         "test" => {
             need(2)?;
             let (Operand::Reg(a, OpWidth::B64), Operand::Reg(b, OpWidth::B64)) =
-                (parse_operand(ln, parts[0])?, parse_operand(ln, parts[1])?)
+                (parse_operand(l, parts[0])?, parse_operand(l, parts[1])?)
             else {
-                return err(ln, "test expects two 64-bit registers");
+                return l.err("test expects two 64-bit registers");
             };
             SymInst::Real(Inst::TestRR { a, b })
         }
         "shl" | "shr" => {
             need(2)?;
-            let Operand::Reg(dst, OpWidth::B64) = parse_operand(ln, parts[0])? else {
-                return err(ln, format!("{mn} destination must be a 64-bit register"));
+            let Operand::Reg(dst, OpWidth::B64) = parse_operand(l, parts[0])? else {
+                return l.err(format!("{mn} destination must be a 64-bit register"));
             };
-            let Operand::Imm(amt) = parse_operand(ln, parts[1])? else {
-                return err(ln, format!("{mn} amount must be immediate"));
+            let Operand::Imm(amt) = parse_operand(l, parts[1])? else {
+                return l.err(format!("{mn} amount must be immediate"));
             };
-            let amt = u8::try_from(amt).ok().filter(|a| *a < 64).ok_or(AsmError {
-                line: ln,
-                message: "shift amount must be 0-63".into(),
-            })?;
+            let amt = u8::try_from(amt)
+                .ok()
+                .filter(|a| *a < 64)
+                .ok_or_else(|| l.error("shift amount must be 0-63"))?;
             let sh = if mn == "shl" { Shift::Shl } else { Shift::Shr };
             SymInst::Real(Inst::ShiftRI { sh, dst, amt })
         }
         "push" | "pop" => {
             need(1)?;
-            let Operand::Reg(reg, OpWidth::B64) = parse_operand(ln, parts[0])? else {
-                return err(ln, format!("{mn} expects a 64-bit register"));
+            let Operand::Reg(reg, OpWidth::B64) = parse_operand(l, parts[0])? else {
+                return l.err(format!("{mn} expects a 64-bit register"));
             };
             if mn == "push" {
                 SymInst::Real(Inst::Push { reg })
@@ -540,123 +432,109 @@ fn parse_inst(
         }
         "jmp" => {
             need(1)?;
-            SymInst::JmpLabel(parts[0].to_string())
+            SymInst::JmpLabel(label(parts[0])?)
         }
         "call" => {
             need(1)?;
             let target = parts[0];
-            if func_names.iter().any(|n| n == target) {
+            if l.function(target).is_some() {
                 SymInst::CallFunc(target.to_string())
-            } else if extern_names.iter().any(|n| n == target) {
+            } else if l.extern_index(target).is_some() {
                 SymInst::CallExtern(target.to_string())
             } else if let Some((reg, OpWidth::B64)) = parse_reg(target) {
                 SymInst::Real(Inst::CallInd { reg })
             } else {
-                return err(ln, format!("unknown call target `{target}`"));
+                return l.err(format!("unknown call target `{target}`"));
             }
         }
         "ret" => {
             need(0)?;
             SymInst::Real(Inst::Ret)
         }
-        other => return err(ln, format!("unknown mnemonic `{other}`")),
+        other => return l.err(format!("unknown mnemonic `{other}`")),
     })
 }
 
-/// Splits operands on top-level commas (commas inside `[...]` don't occur in
-/// this syntax, but keep the split simple and explicit).
-fn split_operands(rest: &str) -> Vec<&str> {
-    rest.split(',').map(str::trim).collect()
-}
-
 /// Renders an image back to assembly text that [`assemble`] parses to an
-/// identical image.
+/// identical image. Branch targets get `L<offset>` labels.
 ///
 /// # Errors
 ///
 /// Returns [`ImageError`] when the text bytes don't decode, or when a call
 /// or RIP reference points at no known function, extern or global.
 pub fn disassemble(image: &Image) -> std::result::Result<String, ImageError> {
-    let mut out = String::new();
-    let _ = writeln!(out, "module {}", image.name);
-    for e in &image.externs {
-        let ret = if e.has_ret { ", ret" } else { "" };
-        let _ = writeln!(out, "extern {}, {}{}", e.name, e.nparams, ret);
-    }
-    for g in &image.globals {
-        let _ = writeln!(out, "global {}, {}", g.name, g.size);
-    }
-    for (fi, f) in image.functions.iter().enumerate() {
-        let ret = if f.has_ret { "ret" } else { "void" };
-        let _ = writeln!(out, "\nfunc {}({}) -> {} {{", f.name, f.nparams, ret);
-        let code = &image.text[f.offset as usize..(f.offset + f.len) as usize];
-        let insts = decode_all(code).map_err(|e| ImageError {
-            message: format!("function `{}`: {}", f.name, e.message),
-        })?;
-        // Collect branch-target offsets for labels.
-        let mut targets: Vec<u64> = Vec::new();
-        for (inst, off, len) in &insts {
-            let next = *off as u64 + *len as u64;
-            match inst {
-                Inst::Jmp { rel } | Inst::Jcc { rel, .. } => {
-                    targets.push(next.wrapping_add(*rel as i64 as u64));
-                }
-                _ => {}
-            }
-        }
-        targets.sort_unstable();
-        targets.dedup();
+    print_program(
+        &image.name,
+        &image.externs,
+        &image.globals,
+        &image.functions,
+        |out, fi, f| write_body(out, image, fi, f),
+    )
+}
 
-        for (inst, off, len) in &insts {
-            if targets.contains(&(*off as u64)) {
-                let _ = writeln!(out, "L{off}:");
-            }
-            let next_off = *off as u64 + *len as u64;
-            match inst {
-                Inst::Jmp { rel } => {
-                    let t = next_off.wrapping_add(*rel as i64 as u64);
-                    let _ = writeln!(out, "    jmp L{t}");
-                }
-                Inst::Jcc { cc, rel } => {
-                    let t = next_off.wrapping_add(*rel as i64 as u64);
-                    let _ = writeln!(out, "    j{} L{t}", cc.mnemonic());
-                }
-                Inst::Call { rel } => {
-                    let addr =
-                        (TEXT_BASE + f.offset as u64 + next_off).wrapping_add(*rel as i64 as u64);
-                    if let Some(ti) = image.func_at_addr(addr) {
-                        let _ = writeln!(out, "    call {}", image.functions[ti].name);
-                    } else if let Some(ei) = image.plt_at_addr(addr) {
-                        let _ = writeln!(out, "    call {}", image.externs[ei].name);
-                    } else {
-                        return Err(ImageError {
-                            message: format!("call target {addr:#x} matches no symbol"),
-                        });
-                    }
-                }
-                Inst::Lea {
-                    dst,
-                    mem: Mem::Rip { disp },
-                } => {
-                    let addr = rip_target(image, fi, next_off, *disp);
-                    if let Some(ti) = image.func_at_addr(addr) {
-                        let _ = writeln!(out, "    lea {dst}, func {}", image.functions[ti].name);
-                    } else if let Some((gi, 0)) = image.global_at_addr(addr) {
-                        let _ = writeln!(out, "    lea {dst}, global {}", image.globals[gi].name);
-                    } else {
-                        return Err(ImageError {
-                            message: format!("rip reference {addr:#x} matches no symbol"),
-                        });
-                    }
-                }
-                other => {
-                    let _ = writeln!(out, "    {other}");
-                }
-            }
+fn write_body(
+    out: &mut String,
+    image: &Image,
+    fi: usize,
+    f: &ImageFunction,
+) -> std::result::Result<(), ImageError> {
+    let code = &image.text[f.offset as usize..(f.offset + f.len) as usize];
+    let insts = decode_all(code)
+        .map_err(|e| ImageError::new(format!("function `{}`: {}", f.name, e.message)))?;
+    let branch_target = |off: usize, len: usize, rel: i32| {
+        (off as u64 + len as u64).wrapping_add(rel as i64 as u64)
+    };
+    let mut targets: Vec<u64> = insts
+        .iter()
+        .filter_map(|&(inst, off, len)| match inst {
+            Inst::Jmp { rel } | Inst::Jcc { rel, .. } => Some(branch_target(off, len, rel)),
+            _ => None,
+        })
+        .collect();
+    targets.sort_unstable();
+    targets.dedup();
+    for &(inst, off, len) in &insts {
+        if targets.binary_search(&(off as u64)).is_ok() {
+            let _ = writeln!(out, "L{off}:");
         }
-        out.push_str("}\n");
+        let next_off = off as u64 + len as u64;
+        let _ = match inst {
+            Inst::Jmp { rel } => writeln!(out, "    jmp L{}", branch_target(off, len, rel)),
+            Inst::Jcc { cc, rel } => {
+                let t = branch_target(off, len, rel);
+                writeln!(out, "    j{} L{t}", cc.mnemonic())
+            }
+            Inst::Call { rel } => {
+                let addr = (TEXT_BASE + f.offset as u64 + next_off).wrapping_add(rel as i64 as u64);
+                if let Some(ti) = image.func_at_addr(addr) {
+                    writeln!(out, "    call {}", image.functions[ti].name)
+                } else if let Some(ei) = image.plt_at_addr(addr) {
+                    writeln!(out, "    call {}", image.externs[ei].name)
+                } else {
+                    return Err(ImageError::new(format!(
+                        "call target {addr:#x} matches no symbol"
+                    )));
+                }
+            }
+            Inst::Lea {
+                dst,
+                mem: Mem::Rip { disp },
+            } => {
+                let addr = rip_target(image, fi, next_off, disp);
+                if let Some(ti) = image.func_at_addr(addr) {
+                    writeln!(out, "    lea {dst}, func {}", image.functions[ti].name)
+                } else if let Some((gi, 0)) = image.global_at_addr(addr) {
+                    writeln!(out, "    lea {dst}, global {}", image.globals[gi].name)
+                } else {
+                    return Err(ImageError::new(format!(
+                        "rip reference {addr:#x} matches no symbol"
+                    )));
+                }
+            }
+            other => writeln!(out, "    {other}"),
+        };
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

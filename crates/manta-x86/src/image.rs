@@ -22,7 +22,10 @@
 //! it.
 
 use std::collections::HashMap;
-use std::fmt;
+
+use manta_ir::frontend::image::{decode_tables, encode_tables, FunctionEntry, PutLe, Reader};
+
+pub use manta_ir::frontend::image::{ImageError, ImageExtern, ImageGlobal};
 
 use crate::encode::{encode, encoded_len};
 use crate::inst::{Cc, Gpr, Inst, Mem};
@@ -43,26 +46,6 @@ pub const TEXT_BASE: u64 = 0x40_1000;
 /// Base virtual address of the data segment (globals).
 pub const DATA_BASE: u64 = 0x60_0000;
 
-/// An external declaration — one PLT stub.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImageExtern {
-    /// Symbol name.
-    pub name: String,
-    /// Parameter count (ABI-visible).
-    pub nparams: u8,
-    /// Whether a value is returned in `rax`.
-    pub has_ret: bool,
-}
-
-/// A global region in the data segment.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImageGlobal {
-    /// Symbol name.
-    pub name: String,
-    /// Region size in bytes.
-    pub size: u64,
-}
-
 /// A function table entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ImageFunction {
@@ -76,6 +59,18 @@ pub struct ImageFunction {
     pub offset: u32,
     /// Body length in bytes.
     pub len: u32,
+}
+
+impl FunctionEntry for ImageFunction {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn nparams(&self) -> u8 {
+        self.nparams
+    }
+    fn has_ret(&self) -> bool {
+        self.has_ret
+    }
 }
 
 /// A whole x86-64 program.
@@ -137,65 +132,36 @@ impl Image {
         }
         None
     }
-
-    /// Total text size in bytes.
-    pub fn text_len(&self) -> usize {
-        self.text.len()
-    }
 }
-
-/// Image encoding/decoding or linking failure.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImageError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid XLF image: {}", self.message)
-    }
-}
-
-impl std::error::Error for ImageError {}
 
 fn err<T>(message: impl Into<String>) -> Result<T, ImageError> {
-    Err(ImageError {
-        message: message.into(),
-    })
+    Err(ImageError::new(message))
 }
 
 // ---------------------------------------------------------------------------
 // Byte codec
 // ---------------------------------------------------------------------------
 
-/// Serializes `image` to bytes.
+/// Serializes `image` to bytes: the ELF ident and machine, the shared
+/// tables with each function row ending in its text offset and length,
+/// then the text segment.
 pub fn encode_image(image: &Image) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&IDENT_TAIL);
-    buf.extend_from_slice(&EM_X86_64.to_le_bytes());
-    put_str(&mut buf, &image.name);
-    buf.extend_from_slice(&(image.externs.len() as u32).to_le_bytes());
-    for e in &image.externs {
-        put_str(&mut buf, &e.name);
-        buf.push(e.nparams);
-        buf.push(e.has_ret as u8);
-    }
-    buf.extend_from_slice(&(image.globals.len() as u32).to_le_bytes());
-    for g in &image.globals {
-        put_str(&mut buf, &g.name);
-        buf.extend_from_slice(&g.size.to_le_bytes());
-    }
-    buf.extend_from_slice(&(image.functions.len() as u32).to_le_bytes());
-    for f in &image.functions {
-        put_str(&mut buf, &f.name);
-        buf.push(f.nparams);
-        buf.push(f.has_ret as u8);
-        buf.extend_from_slice(&f.offset.to_le_bytes());
-        buf.extend_from_slice(&f.len.to_le_bytes());
-    }
-    buf.extend_from_slice(&(image.text.len() as u32).to_le_bytes());
+    buf.put_u16_le(EM_X86_64);
+    encode_tables(
+        &mut buf,
+        &image.name,
+        &image.externs,
+        &image.globals,
+        &image.functions,
+        |buf, f| {
+            buf.put_u32_le(f.offset);
+            buf.put_u32_le(f.len);
+        },
+    );
+    buf.put_u32_le(image.text.len() as u32);
     buf.extend_from_slice(&image.text);
     buf
 }
@@ -206,108 +172,46 @@ pub fn encode_image(image: &Image) -> Vec<u8> {
 ///
 /// Returns [`ImageError`] for truncated or malformed input, including
 /// function table entries that point outside the text blob.
-pub fn decode_image(mut bytes: &[u8]) -> Result<Image, ImageError> {
-    if bytes.len() < 4 || &bytes[..4] != MAGIC {
-        return err("bad magic");
-    }
-    bytes = &bytes[4..];
-    let Some((ident, rest)) = bytes.split_first_chunk::<4>() else {
-        return err("truncated ident");
-    };
-    if *ident != IDENT_TAIL {
+pub fn decode_image(bytes: &[u8]) -> Result<Image, ImageError> {
+    let mut r = Reader::after_magic(bytes, MAGIC, "XLF")?;
+    if r.array::<4>()
+        .map_err(|_| ImageError::new("truncated ident"))?
+        != IDENT_TAIL
+    {
         return err("unsupported ELF class/data/version");
     }
-    bytes = rest;
-    if get_u16(&mut bytes)? != EM_X86_64 {
+    if r.u16()? != EM_X86_64 {
         return err("unsupported machine (want x86-64)");
     }
-    let name = get_str(&mut bytes)?;
-    let mut image = Image {
-        name,
-        ..Default::default()
-    };
-    let n_ext = get_u32(&mut bytes)? as usize;
-    for _ in 0..n_ext {
-        let name = get_str(&mut bytes)?;
-        let nparams = get_u8(&mut bytes)?;
-        let has_ret = get_u8(&mut bytes)? != 0;
-        image.externs.push(ImageExtern {
-            name,
-            nparams,
-            has_ret,
-        });
-    }
-    let n_glob = get_u32(&mut bytes)? as usize;
-    for _ in 0..n_glob {
-        let name = get_str(&mut bytes)?;
-        let size = get_u64(&mut bytes)?;
-        image.globals.push(ImageGlobal { name, size });
-    }
-    let n_fn = get_u32(&mut bytes)? as usize;
-    for _ in 0..n_fn {
-        let name = get_str(&mut bytes)?;
-        let nparams = get_u8(&mut bytes)?;
-        let has_ret = get_u8(&mut bytes)? != 0;
-        let offset = get_u32(&mut bytes)?;
-        let len = get_u32(&mut bytes)?;
-        image.functions.push(ImageFunction {
-            name,
-            nparams,
-            has_ret,
-            offset,
-            len,
-        });
-    }
-    let text_len = get_u32(&mut bytes)? as usize;
-    if bytes.len() < text_len {
-        return err("truncated text segment");
-    }
-    image.text = bytes[..text_len].to_vec();
-    for f in &image.functions {
+    let (name, externs, globals, functions) =
+        decode_tables(&mut r, |name, nparams, has_ret, r| {
+            Ok(ImageFunction {
+                name,
+                nparams,
+                has_ret,
+                offset: r.u32()?,
+                len: r.u32()?,
+            })
+        })?;
+    let text_len = r.u32()? as usize;
+    let text = r.slice(text_len, "text segment")?.to_vec();
+    for f in &functions {
         let end = f.offset as u64 + f.len as u64;
-        if end > image.text.len() as u64 {
+        if end > text.len() as u64 {
             return err(format!(
                 "function `{}` extends past the text segment",
                 f.name
             ));
         }
     }
-    Ok(image)
+    Ok(Image {
+        name,
+        externs,
+        globals,
+        functions,
+        text,
+    })
 }
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(bytes: &mut &[u8]) -> Result<String, ImageError> {
-    let len = get_u16(bytes)? as usize;
-    if bytes.len() < len {
-        return err("truncated string");
-    }
-    let s = String::from_utf8(bytes[..len].to_vec()).map_err(|_| ImageError {
-        message: "non-utf8 string".into(),
-    })?;
-    *bytes = &bytes[len..];
-    Ok(s)
-}
-
-macro_rules! getter {
-    ($name:ident, $ty:ty, $size:expr) => {
-        fn $name(bytes: &mut &[u8]) -> Result<$ty, ImageError> {
-            let Some((head, rest)) = bytes.split_first_chunk::<$size>() else {
-                return err("truncated input");
-            };
-            let v = <$ty>::from_le_bytes(*head);
-            *bytes = rest;
-            Ok(v)
-        }
-    };
-}
-getter!(get_u8, u8, 1);
-getter!(get_u16, u16, 2);
-getter!(get_u32, u32, 4);
-getter!(get_u64, u64, 8);
 
 // ---------------------------------------------------------------------------
 // Linker layer
@@ -360,7 +264,6 @@ struct PendingFunction {
 
 /// Builds an [`Image`] from symbolic function bodies, resolving labels and
 /// cross-references to concrete rel32 displacements.
-#[derive(Default)]
 pub struct ImageBuilder {
     name: String,
     externs: Vec<ImageExtern>,
@@ -369,29 +272,19 @@ pub struct ImageBuilder {
 }
 
 impl ImageBuilder {
-    /// Starts a builder for a program called `name`.
-    pub fn new(name: impl Into<String>) -> ImageBuilder {
+    /// Starts a builder for a program called `name` with its extern table
+    /// (one PLT stub each, in order) and globals (data-segment order).
+    pub fn new(
+        name: impl Into<String>,
+        externs: Vec<ImageExtern>,
+        globals: Vec<ImageGlobal>,
+    ) -> ImageBuilder {
         ImageBuilder {
             name: name.into(),
-            ..Default::default()
+            externs,
+            globals,
+            funcs: Vec::new(),
         }
-    }
-
-    /// Declares an external symbol; allocates the next PLT stub.
-    pub fn declare_extern(&mut self, name: impl Into<String>, nparams: u8, has_ret: bool) {
-        self.externs.push(ImageExtern {
-            name: name.into(),
-            nparams,
-            has_ret,
-        });
-    }
-
-    /// Declares a global region in the data segment.
-    pub fn declare_global(&mut self, name: impl Into<String>, size: u64) {
-        self.globals.push(ImageGlobal {
-            name: name.into(),
-            size,
-        });
     }
 
     /// Adds a function body.
@@ -479,9 +372,8 @@ impl ImageBuilder {
 
             let rel32 = |target: u64, next_addr: u64| -> Result<i32, ImageError> {
                 let delta = target as i64 - next_addr as i64;
-                i32::try_from(delta).map_err(|_| ImageError {
-                    message: format!("rel32 overflow reaching {target:#x}"),
-                })
+                i32::try_from(delta)
+                    .map_err(|_| ImageError::new(format!("rel32 overflow reaching {target:#x}")))
             };
 
             local = 0;
@@ -492,8 +384,11 @@ impl ImageBuilder {
                     SymInst::Label(_) => {}
                     SymInst::JmpLabel(l) | SymInst::JccLabel(_, l) => {
                         let target = func_base
-                            + *labels.get(l.as_str()).ok_or_else(|| ImageError {
-                                message: format!("undefined label `{l}` in function `{}`", f.name),
+                            + *labels.get(l.as_str()).ok_or_else(|| {
+                                ImageError::new(format!(
+                                    "undefined label `{l}` in function `{}`",
+                                    f.name
+                                ))
                             })?;
                         let rel = rel32(target, next_addr)?;
                         let inst = match si {
@@ -504,22 +399,22 @@ impl ImageBuilder {
                         encode(&inst, &mut text);
                     }
                     SymInst::CallFunc(name) => {
-                        let ti = *func_index.get(name.as_str()).ok_or_else(|| ImageError {
-                            message: format!("call to undefined function `{name}`"),
+                        let ti = *func_index.get(name.as_str()).ok_or_else(|| {
+                            ImageError::new(format!("call to undefined function `{name}`"))
                         })?;
                         let rel = rel32(TEXT_BASE + offsets[ti] as u64, next_addr)?;
                         encode(&Inst::Call { rel }, &mut text);
                     }
                     SymInst::CallExtern(name) => {
-                        let ei = *extern_index.get(name.as_str()).ok_or_else(|| ImageError {
-                            message: format!("call to undeclared extern `{name}`"),
+                        let ei = *extern_index.get(name.as_str()).ok_or_else(|| {
+                            ImageError::new(format!("call to undeclared extern `{name}`"))
                         })?;
                         let rel = rel32(PLT_BASE + PLT_STUB_SIZE * ei as u64, next_addr)?;
                         encode(&Inst::Call { rel }, &mut text);
                     }
                     SymInst::LeaFunc(dst, name) => {
-                        let ti = *func_index.get(name.as_str()).ok_or_else(|| ImageError {
-                            message: format!("lea of undefined function `{name}`"),
+                        let ti = *func_index.get(name.as_str()).ok_or_else(|| {
+                            ImageError::new(format!("lea of undefined function `{name}`"))
                         })?;
                         let disp = rel32(TEXT_BASE + offsets[ti] as u64, next_addr)?;
                         encode(
@@ -531,8 +426,8 @@ impl ImageBuilder {
                         );
                     }
                     SymInst::LeaGlobal(dst, name) => {
-                        let gi = *global_index.get(name.as_str()).ok_or_else(|| ImageError {
-                            message: format!("lea of undeclared global `{name}`"),
+                        let gi = *global_index.get(name.as_str()).ok_or_else(|| {
+                            ImageError::new(format!("lea of undeclared global `{name}`"))
                         })?;
                         let disp = rel32(image_skeleton.global_addr(gi), next_addr)?;
                         encode(
@@ -584,9 +479,18 @@ mod tests {
     use crate::inst::OpWidth;
 
     fn sample() -> Image {
-        let mut b = ImageBuilder::new("sample");
-        b.declare_extern("malloc", 1, true);
-        b.declare_global("table", 64);
+        let mut b = ImageBuilder::new(
+            "sample",
+            vec![ImageExtern {
+                name: "malloc".into(),
+                nparams: 1,
+                has_ret: true,
+            }],
+            vec![ImageGlobal {
+                name: "table".into(),
+                size: 64,
+            }],
+        );
         b.function(
             "helper",
             1,
@@ -682,20 +586,22 @@ mod tests {
 
     #[test]
     fn undefined_references_error() {
-        let mut b = ImageBuilder::new("bad");
+        let mut b = ImageBuilder::new("bad", Vec::new(), Vec::new());
         b.function("f", 0, false, vec![SymInst::JmpLabel("nowhere".into())]);
         assert!(b.build().unwrap_err().message.contains("nowhere"));
 
-        let mut b = ImageBuilder::new("bad2");
+        let mut b = ImageBuilder::new("bad2", Vec::new(), Vec::new());
         b.function("f", 0, false, vec![SymInst::CallFunc("ghost".into())]);
         assert!(b.build().unwrap_err().message.contains("ghost"));
     }
 
     #[test]
     fn global_layout_is_8_aligned() {
-        let mut b = ImageBuilder::new("g");
-        b.declare_global("a", 3);
-        b.declare_global("b", 16);
+        let global = |name: &str, size| ImageGlobal {
+            name: name.into(),
+            size,
+        };
+        let mut b = ImageBuilder::new("g", Vec::new(), vec![global("a", 3), global("b", 16)]);
         b.function("f", 0, false, vec![SymInst::Real(Inst::Ret)]);
         let img = b.build().unwrap();
         assert_eq!(img.global_addr(0), DATA_BASE);

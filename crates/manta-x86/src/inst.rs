@@ -515,13 +515,6 @@ pub enum Inst {
     Ret,
 }
 
-impl Inst {
-    /// Whether this instruction ends a basic block.
-    pub fn is_terminator(&self) -> bool {
-        matches!(self, Inst::Jcc { .. } | Inst::Jmp { .. } | Inst::Ret)
-    }
-}
-
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -13,11 +13,16 @@
 //!   RIP-relative addressing; `decode(bytes)` re-encodes byte-identically.
 //! * [`image`] — the XLF ELF-subset container: text blob + function table +
 //!   PLT stubs + globals, plus the [`image::ImageBuilder`] linker layer.
-//! * [`asm`] — a line-oriented Intel-syntax assembler with labels.
-//! * [`mod@lift`] — decoder + Braun SSA construction into a [`manta_ir::Module`]:
-//!   eflags materialize as SSA booleans at their consuming `jcc`,
-//!   sub-registers become masked views, `rbp`-relative slots become frame
-//!   allocas, and the SysV ABI maps registers to parameters and returns.
+//! * [`asm`] — the Intel-like instruction syntax and disassembler.
+//! * [`mod@lift`] — x86 semantics in SSA terms, producing a
+//!   [`manta_ir::Module`]: eflags materialize as SSA booleans at their
+//!   consuming `jcc`, sub-registers become masked views, `rbp`-relative
+//!   slots become frame allocas, and the SysV ABI maps registers to
+//!   parameters and returns.
+//!
+//! The symbol tables and their codec, the assembler's top-level grammar
+//! and the lift skeleton are shared with SB-ISA in
+//! [`manta_ir::frontend`].
 
 #![warn(missing_docs)]
 

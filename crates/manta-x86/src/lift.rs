@@ -3,7 +3,10 @@
 //! The x86 counterpart of `manta_isa::lift` — and deliberately shaped so
 //! that code compiled from the same source produces the *same* IR from
 //! either frontend (the differential tests pin inferred types to be
-//! bit-identical). Three x86-specific recovery problems are handled here:
+//! bit-identical). Module layout, CFG recovery and SSA renaming are the
+//! shared skeleton of [`manta_ir::frontend::lift`]; this module supplies
+//! the x86 semantics. Three x86-specific recovery problems are handled
+//! here:
 //!
 //! * **eflags.** x86 splits a conditional branch into a flag-setting
 //!   `cmp`/`test` and a flag-consuming `jcc`. The lifter records the last
@@ -31,43 +34,22 @@
 //! arity from the argument registers written since the last call (a
 //! RetDec-style heuristic) and are assumed to return a value.
 
-use std::collections::{BTreeSet, HashMap};
-use std::fmt;
+use std::collections::BTreeSet;
 
+use manta_ir::frontend::lift::{lift_module, Flow, FunctionLift, MachineFunction};
 use manta_ir::{
-    BinOp, BlockId, Callee, ConstKind, ExternId, Frontend, FrontendError, FuncId, Function,
-    GlobalId, InstKind, Module, SsaBuilder, Terminator, Value, ValueId, ValueKind, Width,
+    BinOp, BlockId, Callee, ExternId, Frontend, FrontendError, FuncId, Function, GlobalId,
+    InstKind, Module, ValueId, ValueKind, Width,
 };
 
+pub use manta_ir::frontend::lift::LiftError;
+
 use crate::decode::decode_all;
-use crate::image::{rip_target, Image, ImageError, ImageFunction};
+use crate::image::{rip_target, Image, ImageFunction};
 use crate::inst::{Alu, Cc, Gpr, Inst, Mem, OpWidth, Rm, Shift};
 
-/// Lifting failure.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LiftError {
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for LiftError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lift error: {}", self.message)
-    }
-}
-
-impl std::error::Error for LiftError {}
-
-impl From<ImageError> for LiftError {
-    fn from(e: ImageError) -> LiftError {
-        LiftError { message: e.message }
-    }
-}
-
 fn err<T>(message: impl Into<String>) -> Result<T, LiftError> {
-    Err(LiftError {
-        message: message.into(),
-    })
+    Err(LiftError::new(message))
 }
 
 /// Lifts a decoded image to an IR module.
@@ -78,67 +60,35 @@ fn err<T>(message: impl Into<String>) -> Result<T, LiftError> {
 /// outside its function, manipulates `rsp`/`rbp` outside the recognized
 /// frame idioms, or consumes flags no `cmp`/`test` defined.
 pub fn lift(image: &Image) -> Result<Module, LiftError> {
-    let mut module = Module::new(image.name.clone());
-    // Externs first, preserving PLT order so indexes line up.
-    for e in &image.externs {
-        let fallback: Vec<Width> = vec![Width::W64; e.nparams as usize];
-        let ret = if e.has_ret { Some(Width::W64) } else { None };
-        module.declare_extern(&e.name, &fallback, ret);
-    }
-    for g in &image.globals {
-        module.push_global_named(&g.name, g.size);
-    }
-    // Decode every body up front; direct calls may reference any function.
-    let mut decoded: Vec<Vec<(Inst, usize, usize)>> = Vec::with_capacity(image.functions.len());
-    for f in &image.functions {
-        if f.nparams as usize > 6 {
-            return err(format!(
-                "function {} has too many register parameters",
-                f.name
-            ));
-        }
-        let body = &image.text[f.offset as usize..(f.offset + f.len) as usize];
-        let insts = decode_all(body).map_err(|e| LiftError {
-            message: format!("in function {}: {}", f.name, e.message),
-        })?;
-        decoded.push(insts);
-    }
-    // Function shells first (direct calls may reference any index).
-    for (i, f) in image.functions.iter().enumerate() {
-        let params = vec![Width::W64; f.nparams as usize];
-        let ret = if f.has_ret { Some(Width::W64) } else { None };
-        let func = Function::new(FuncId::from_index(i), f.name.clone(), &params, ret);
-        module.push_function_raw(func);
-    }
-    // Lift bodies.
-    let mut total_insts = 0u64;
-    for (i, f) in image.functions.iter().enumerate() {
-        total_insts += decoded[i].len() as u64;
-        let lifted = Lifter::new(&module, image, i, f, &decoded[i])?.run()?;
-        *module.function_mut(FuncId::from_index(i)) = lifted;
-    }
-    // Address-taken marking: any `lea r, [rip+d]` landing on a function
-    // entry — after body installation so the flag survives.
-    for (fi, insts) in decoded.iter().enumerate() {
-        for &(inst, off, len) in insts {
-            if let Inst::Lea {
-                mem: Mem::Rip { disp },
-                ..
-            } = inst
-            {
-                let addr = rip_target(image, fi, (off + len) as u64, disp);
-                if let Some(ti) = image.func_at_addr(addr) {
-                    module
-                        .function_mut(FuncId::from_index(ti))
-                        .set_address_taken(true);
-                }
-            }
-        }
-    }
-    manta_telemetry::counter("lift.insts_decoded", total_insts);
-    manta_ir::verify::verify_module(&module).map_err(|e| LiftError {
-        message: format!("lifted module failed verification: {e}"),
-    })?;
+    let (module, insts) = lift_module(
+        &image.name,
+        &image.externs,
+        &image.globals,
+        &image.functions,
+        |i, fx| {
+            let src = &image.functions[i];
+            let body = &image.text[src.offset as usize..(src.offset + src.len) as usize];
+            let insts = decode_all(body)
+                .map_err(|e| LiftError::new(format!("in function {}: {}", src.name, e.message)))?;
+            let mut lifter = Lifter {
+                image,
+                func_index: i,
+                src,
+                insts,
+                fx,
+                lea_slots: Vec::new(),
+                residual: None,
+                flags: FlagSrc::None,
+                args_written: [false; 6],
+                cur_idx: 0,
+                flags_materialized: 0,
+                frame_slots: 0,
+            };
+            lifter.scan_frame()?;
+            Ok(lifter)
+        },
+    )?;
+    manta_telemetry::counter("lift.insts_decoded", insts as u64);
     Ok(module)
 }
 
@@ -171,23 +121,12 @@ struct Residual {
 }
 
 struct Lifter<'a> {
-    module: &'a Module,
     image: &'a Image,
     func_index: usize,
     src: &'a ImageFunction,
-    insts: &'a [(Inst, usize, usize)],
-    func: Function,
-    /// Instruction index → owning block.
-    block_of: Vec<BlockId>,
-    /// Block → leader instruction index.
-    leader_of: HashMap<BlockId, usize>,
-    /// Machine-CFG predecessors per block.
-    preds: HashMap<BlockId, Vec<BlockId>>,
-    /// Byte offset → instruction index (branch-target resolution).
-    off_to_idx: HashMap<usize, usize>,
-    /// Shared Braun-style register renamer (`manta_ir::SsaBuilder`).
-    ssa: SsaBuilder<Gpr>,
-    has_frame: bool,
+    /// Decoded body: `(instruction, byte offset, length)` in offset order.
+    insts: Vec<(Inst, usize, usize)>,
+    fx: FunctionLift<Gpr>,
     lea_slots: Vec<LeaSlot>,
     residual: Option<Residual>,
     flags: FlagSrc,
@@ -200,186 +139,26 @@ struct Lifter<'a> {
     frame_slots: u64,
 }
 
-impl<'a> Lifter<'a> {
-    fn new(
-        module: &'a Module,
-        image: &'a Image,
-        func_index: usize,
-        src: &'a ImageFunction,
-        insts: &'a [(Inst, usize, usize)],
-    ) -> Result<Lifter<'a>, LiftError> {
-        let params = vec![Width::W64; src.nparams as usize];
-        let ret = if src.has_ret { Some(Width::W64) } else { None };
-        let func = Function::new(
-            FuncId::from_index(func_index),
-            src.name.clone(),
-            &params,
-            ret,
-        );
-        Ok(Lifter {
-            module,
-            image,
-            func_index,
-            src,
-            insts,
-            func,
-            block_of: Vec::new(),
-            leader_of: HashMap::new(),
-            preds: HashMap::new(),
-            off_to_idx: HashMap::new(),
-            ssa: SsaBuilder::new(HashMap::new()),
-            has_frame: false,
-            lea_slots: Vec::new(),
-            residual: None,
-            flags: FlagSrc::None,
-            args_written: [false; 6],
-            cur_idx: 0,
-            flags_materialized: 0,
-            frame_slots: 0,
-        })
-    }
-
+impl Lifter<'_> {
     /// Instruction index a branch at `(off, len, rel)` lands on.
     fn branch_target(&self, off: usize, len: usize, rel: i32) -> Result<usize, LiftError> {
         let target = off as i64 + len as i64 + rel as i64;
         usize::try_from(target)
             .ok()
-            .and_then(|t| self.off_to_idx.get(&t).copied())
-            .ok_or_else(|| LiftError {
-                message: format!(
+            .and_then(|t| self.insts.binary_search_by_key(&t, |&(_, o, _)| o).ok())
+            .ok_or_else(|| {
+                LiftError::new(format!(
                     "branch at offset {off} in {} targets {target:#x}, not an \
                      instruction boundary in the same function",
                     self.src.name
-                ),
+                ))
             })
-    }
-
-    fn run(mut self) -> Result<Function, LiftError> {
-        let n = self.insts.len();
-        if n == 0 {
-            // Empty body: entry stays `unreachable`.
-            return Ok(self.func);
-        }
-        for (i, &(_, off, _)) in self.insts.iter().enumerate() {
-            self.off_to_idx.insert(off, i);
-        }
-        self.scan_frame()?;
-        // 1. Leaders: index 0, branch targets, fallthroughs of terminators.
-        let mut is_leader = vec![false; n];
-        is_leader[0] = true;
-        for (i, &(inst, off, len)) in self.insts.iter().enumerate() {
-            match inst {
-                Inst::Jmp { rel } | Inst::Jcc { rel, .. } => {
-                    let t = self.branch_target(off, len, rel)?;
-                    is_leader[t] = true;
-                }
-                _ => {}
-            }
-            if inst.is_terminator() && i + 1 < n {
-                is_leader[i + 1] = true;
-            }
-        }
-        // 2. Blocks in leader order; entry (index 0) is the existing bb0.
-        self.block_of = vec![BlockId(0); n];
-        let mut current = self.func.entry();
-        self.leader_of.insert(current, 0);
-        for (i, &leader) in is_leader.iter().enumerate() {
-            if leader && i != 0 {
-                current = self.func.add_block();
-                self.leader_of.insert(current, i);
-            }
-            self.block_of[i] = current;
-        }
-        // 3. Machine CFG edges (for phi placement). Jcc pushes the taken
-        // target before the fallthrough, mirroring SB-ISA's `brz`.
-        for (i, &(inst, off, len)) in self.insts.iter().enumerate() {
-            let b = self.block_of[i];
-            let mut succs: Vec<usize> = Vec::new();
-            match inst {
-                Inst::Jmp { rel } => succs.push(self.branch_target(off, len, rel)?),
-                Inst::Jcc { rel, .. } => {
-                    succs.push(self.branch_target(off, len, rel)?);
-                    if i + 1 < n {
-                        succs.push(i + 1);
-                    }
-                }
-                Inst::Ret => {}
-                _ => {
-                    if i + 1 < n && is_leader[i + 1] {
-                        succs.push(i + 1);
-                    }
-                }
-            }
-            let ends_block = inst.is_terminator() || (i + 1 < n && is_leader[i + 1]);
-            if ends_block {
-                for s in succs {
-                    let sb = self.block_of[s];
-                    self.preds.entry(sb).or_default().push(b);
-                }
-            }
-        }
-        // 4. Translate in block order; SSA renaming is the shared
-        // two-phase `manta_ir::SsaBuilder` (pending phis are resolved in
-        // step 5 once every block's end state is sealed).
-        self.ssa = SsaBuilder::new(self.preds.clone());
-        let blocks: Vec<BlockId> = (0..self.func.block_count())
-            .map(|i| BlockId(i as u32))
-            .collect();
-        for &b in &blocks {
-            let seed: Vec<(Gpr, ValueId)> = if b == self.func.entry() {
-                self.func
-                    .params()
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, &p)| (Gpr::arg(idx), p))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            self.ssa.begin_block(seed);
-            // Flags and the arity heuristic never cross block boundaries.
-            self.flags = FlagSrc::None;
-            self.args_written = [false; 6];
-            if b == self.func.entry() {
-                if let Some(size) = self.residual.as_ref().map(|r| r.size) {
-                    // The residual spill area is allocated up front, exactly
-                    // where SB-ISA's `salloc` sits.
-                    let v = self.emit(b, Width::W64, |dst| InstKind::Alloca { dst, size });
-                    self.residual.as_mut().expect("just checked").value = Some(v);
-                    self.frame_slots += 1;
-                }
-            }
-            let start = self.leader_of[&b];
-            let mut i = start;
-            let mut terminated = false;
-            while i < n && self.block_of[i] == b {
-                let (inst, off, len) = self.insts[i];
-                self.translate(b, i, off, len, &inst, &mut terminated)?;
-                i += 1;
-            }
-            if !terminated {
-                // Fallthrough into the next block.
-                if i < n {
-                    self.func
-                        .replace_terminator(b, Terminator::Br(self.block_of[i]));
-                } else {
-                    self.func.replace_terminator(b, Terminator::Unreachable);
-                }
-            }
-            self.ssa.end_block(b);
-        }
-        // 5. Resolve pending phis against sealed end-of-block states.
-        self.ssa.finish(&mut self.func);
-        manta_telemetry::counter("lift.insts_decoded", 0); // name registered by module lift
-        manta_telemetry::counter("lift.flags_materialized", self.flags_materialized);
-        manta_telemetry::counter("lift.frame_slots", self.frame_slots);
-        Ok(self.func)
     }
 
     /// Recognizes the frame prologue and partitions every `rbp`-relative
     /// offset into `lea`-rooted slots plus a residual spill area.
     fn scan_frame(&mut self) -> Result<(), LiftError> {
-        self.has_frame = matches!(
+        let has_frame = matches!(
             self.insts.first(),
             Some(&(Inst::Push { reg: Gpr::RBP }, ..))
         ) && matches!(
@@ -415,7 +194,7 @@ impl<'a> Lifter<'a> {
             }
             Ok(())
         };
-        for &(inst, ..) in self.insts {
+        for &(inst, ..) in &self.insts {
             match inst {
                 Inst::Lea { mem, .. } => note(&mem, true)?,
                 Inst::MovLoad { mem, .. }
@@ -434,7 +213,7 @@ impl<'a> Lifter<'a> {
         if lea_offs.is_empty() && direct_offs.is_empty() {
             return Ok(());
         }
-        if !self.has_frame {
+        if !has_frame {
             return err(format!(
                 "{}: rbp-relative access without a `push rbp; mov rbp, rsp` prologue",
                 self.src.name
@@ -475,34 +254,22 @@ impl<'a> Lifter<'a> {
                 Some(v) => v,
                 None => {
                     let size = self.lea_slots[i].size;
-                    let v = self.emit(b, Width::W64, |dst| InstKind::Alloca { dst, size });
+                    let v = self
+                        .fx
+                        .emit(b, Width::W64, |dst| InstKind::Alloca { dst, size });
                     self.lea_slots[i].value = Some(v);
                     self.frame_slots += 1;
                     v
                 }
             };
             let inner = (off - self.lea_slots[i].off) as u64;
-            if inner == 0 {
-                return Ok(base);
-            }
-            return Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
-                dst,
-                base,
-                offset: inner,
-            }));
+            return Ok(self.fx.gep(b, base, inner));
         }
         if let Some(res) = &self.residual {
             if off >= res.min_off {
                 let base = res.value.expect("residual alloca emitted at entry");
                 let inner = (off - res.min_off) as u64;
-                if inner == 0 {
-                    return Ok(base);
-                }
-                return Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
-                    dst,
-                    base,
-                    offset: inner,
-                }));
+                return Ok(self.fx.gep(b, base, inner));
             }
         }
         err(format!(
@@ -518,7 +285,7 @@ impl<'a> Lifter<'a> {
                 self.src.name, r
             ));
         }
-        Ok(self.ssa.read(&mut self.func, b, r))
+        Ok(self.fx.read(b, r))
     }
 
     fn write_reg(&mut self, r: Gpr, v: ValueId) -> Result<(), LiftError> {
@@ -531,7 +298,7 @@ impl<'a> Lifter<'a> {
         if let Some(pos) = Gpr::SYSV_ARGS.iter().position(|&a| a == r) {
             self.args_written[pos] = true;
         }
-        self.ssa.write(r, v);
+        self.fx.write(r, v);
         Ok(())
     }
 
@@ -550,14 +317,8 @@ impl<'a> Lifter<'a> {
             } => self.frame_addr(b, disp),
             Mem::Base { base, disp } => {
                 let base = self.read_reg(b, base)?;
-                if disp == 0 {
-                    Ok(base)
-                } else if disp > 0 {
-                    Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
-                        dst,
-                        base,
-                        offset: disp as u64,
-                    }))
+                if disp >= 0 {
+                    Ok(self.fx.gep(b, base, disp as u64))
                 } else {
                     err(format!(
                         "{}: negative displacement {disp} off a non-frame base",
@@ -580,28 +341,24 @@ impl<'a> Lifter<'a> {
                 let base_v = self.read_reg(b, base)?;
                 let mut idx = self.read_reg(b, index)?;
                 if scale > 1 {
-                    let amt = self.const_int(i64::from(scale.trailing_zeros()), Width::W64);
-                    idx = self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                    let amt = self
+                        .fx
+                        .const_int(i64::from(scale.trailing_zeros()), Width::W64);
+                    idx = self.fx.emit(b, Width::W64, |dst| InstKind::BinOp {
                         op: BinOp::Shl,
                         dst,
                         lhs: idx,
                         rhs: amt,
                     });
                 }
-                let sum = self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                let sum = self.fx.emit(b, Width::W64, |dst| InstKind::BinOp {
                     op: BinOp::Add,
                     dst,
                     lhs: base_v,
                     rhs: idx,
                 });
-                if disp == 0 {
-                    Ok(sum)
-                } else if disp > 0 {
-                    Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
-                        dst,
-                        base: sum,
-                        offset: disp as u64,
-                    }))
+                if disp >= 0 {
+                    Ok(self.fx.gep(b, sum, disp as u64))
                 } else {
                     err(format!(
                         "{}: negative displacement {disp} in indexed addressing",
@@ -612,14 +369,9 @@ impl<'a> Lifter<'a> {
             Mem::Rip { disp } => {
                 let addr = self.rip_addr(disp, b)?;
                 match addr {
-                    RipTarget::Global(g, 0) => Ok(self.global_value(g)),
                     RipTarget::Global(g, inner) => {
                         let base = self.global_value(g);
-                        Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
-                            dst,
-                            base,
-                            offset: inner,
-                        }))
+                        Ok(self.fx.gep(b, base, inner))
                     }
                     RipTarget::Func(_) => err(format!(
                         "{}: memory access through a function address",
@@ -648,33 +400,7 @@ impl<'a> Lifter<'a> {
     }
 
     fn global_value(&mut self, g: GlobalId) -> ValueId {
-        self.func.add_value(Value {
-            kind: ValueKind::GlobalAddr(g),
-            width: Width::W64,
-        })
-    }
-
-    fn const_int(&mut self, v: i64, width: Width) -> ValueId {
-        self.func.add_value(Value {
-            kind: ValueKind::Const(ConstKind::Int(v)),
-            width,
-        })
-    }
-
-    fn def_value(&mut self, width: Width) -> (ValueId, manta_ir::InstId) {
-        let next = manta_ir::InstId::from_index(self.func.inst_count());
-        let v = self.func.add_value(Value {
-            kind: ValueKind::Inst { def: next },
-            width,
-        });
-        (v, next)
-    }
-
-    fn emit(&mut self, b: BlockId, width: Width, f: impl FnOnce(ValueId) -> InstKind) -> ValueId {
-        let (v, expected) = self.def_value(width);
-        let got = self.func.append_inst(b, f(v));
-        debug_assert_eq!(got, expected);
-        v
+        self.fx.value(ValueKind::GlobalAddr(g), Width::W64)
     }
 
     /// Reads the flag source at a `jcc` and materializes the SSA boolean.
@@ -691,7 +417,7 @@ impl<'a> Lifter<'a> {
                     cc.mnemonic()
                 ))
             }
-            FlagSrc::Cmp { lhs, rhs } => self.emit(b, Width::W1, |dst| InstKind::Cmp {
+            FlagSrc::Cmp { lhs, rhs } => self.fx.emit(b, Width::W1, |dst| InstKind::Cmp {
                 dst,
                 pred,
                 lhs,
@@ -709,15 +435,15 @@ impl<'a> Lifter<'a> {
                 let operand = if a == tb {
                     a
                 } else {
-                    self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                    self.fx.emit(b, Width::W64, |dst| InstKind::BinOp {
                         op: BinOp::And,
                         dst,
                         lhs: a,
                         rhs: tb,
                     })
                 };
-                let zero = self.const_int(0, Width::W64);
-                self.emit(b, Width::W1, |dst| InstKind::Cmp {
+                let zero = self.fx.const_int(0, Width::W64);
+                self.fx.emit(b, Width::W1, |dst| InstKind::Cmp {
                     dst,
                     pred,
                     lhs: operand,
@@ -749,8 +475,8 @@ impl<'a> Lifter<'a> {
         } else {
             (1i64 << width.bits()) - 1
         };
-        let mask_v = self.const_int(mask, Width::W64);
-        Ok(self.emit(b, width.ir(), |dst| InstKind::BinOp {
+        let mask_v = self.fx.const_int(mask, Width::W64);
+        Ok(self.fx.emit(b, width.ir(), |dst| InstKind::BinOp {
             op: BinOp::And,
             dst,
             lhs: full,
@@ -765,46 +491,79 @@ impl<'a> Lifter<'a> {
         nargs: usize,
         ret_width: Option<Width>,
     ) -> Result<(), LiftError> {
-        let mut args = Vec::with_capacity(nargs);
-        for i in 0..nargs {
-            args.push(self.read_reg(b, Gpr::arg(i))?);
-        }
-        if let Some(w) = ret_width {
-            let v = self.emit(b, w, |dst| InstKind::Call {
-                dst: Some(dst),
-                callee,
-                args: args.clone(),
-            });
+        let args = (0..nargs)
+            .map(|i| self.read_reg(b, Gpr::arg(i)))
+            .collect::<Result<_, _>>()?;
+        if let Some(v) = self.fx.call(b, callee, args, ret_width) {
             self.write_reg(Gpr::RAX, v)?;
-        } else {
-            self.func.append_inst(
-                b,
-                InstKind::Call {
-                    dst: None,
-                    callee,
-                    args,
-                },
-            );
         }
         // Calls clobber both flags and the arity-heuristic window.
         self.flags = FlagSrc::None;
         self.args_written = [false; 6];
         Ok(())
     }
+}
+
+impl MachineFunction for Lifter<'_> {
+    type Reg = Gpr;
+    const RET: Gpr = Gpr::RAX;
+
+    fn param(index: usize) -> Gpr {
+        Gpr::arg(index)
+    }
+
+    fn state(&mut self) -> &mut FunctionLift<Gpr> {
+        &mut self.fx
+    }
+
+    fn inst_count(&self) -> usize {
+        self.insts.len()
+    }
+
+    fn flow(&self, i: usize) -> Result<Flow, LiftError> {
+        let (inst, off, len) = self.insts[i];
+        Ok(match inst {
+            Inst::Jmp { rel } => Flow::Jump(self.branch_target(off, len, rel)?),
+            Inst::Jcc { rel, .. } => Flow::Branch(self.branch_target(off, len, rel)?),
+            Inst::Ret => Flow::Return,
+            _ => Flow::Next,
+        })
+    }
+
+    fn begin_block(&mut self, b: BlockId) {
+        // Flags and the arity heuristic never cross block boundaries.
+        self.flags = FlagSrc::None;
+        self.args_written = [false; 6];
+        if b == self.fx.func.entry() {
+            if let Some(res) = &mut self.residual {
+                // The residual spill area is allocated up front, exactly
+                // where SB-ISA's `salloc` sits.
+                let size = res.size;
+                res.value = Some(
+                    self.fx
+                        .emit(b, Width::W64, |dst| InstKind::Alloca { dst, size }),
+                );
+                self.frame_slots += 1;
+            }
+        }
+    }
+
+    fn finish(self) -> Function {
+        manta_telemetry::counter("lift.flags_materialized", self.flags_materialized);
+        manta_telemetry::counter("lift.frame_slots", self.frame_slots);
+        self.fx.func
+    }
 
     #[allow(clippy::too_many_lines)]
     fn translate(
         &mut self,
+        module: &Module,
         b: BlockId,
         idx: usize,
-        off: usize,
-        len: usize,
-        inst: &Inst,
-        terminated: &mut bool,
-    ) -> Result<(), LiftError> {
+    ) -> Result<Option<ValueId>, LiftError> {
         self.cur_idx = idx;
-        let n = self.insts.len();
-        match *inst {
+        let (inst, off, len) = self.insts[idx];
+        match inst {
             // --- Frame idioms: no IR. ---------------------------------
             Inst::MovRR {
                 w: OpWidth::B64,
@@ -841,10 +600,11 @@ impl<'a> Lifter<'a> {
                 let v = match w {
                     OpWidth::B64 => {
                         let s = self.read_reg(b, src)?;
-                        self.emit(b, self.func.value(s).width, |dst| InstKind::Copy {
-                            dst,
-                            src: s,
-                        })
+                        self.fx
+                            .emit(b, self.fx.func.value(s).width, |dst| InstKind::Copy {
+                                dst,
+                                src: s,
+                            })
                     }
                     // A 32-bit register move zero-extends: lift as a masked
                     // view so the 32-bit width reaches the substrate.
@@ -853,24 +613,26 @@ impl<'a> Lifter<'a> {
                 self.write_reg(dst, v)?;
             }
             Inst::MovRI { dst, imm } => {
-                let v = self.const_int(imm, Width::W64);
+                let v = self.fx.const_int(imm, Width::W64);
                 self.write_reg(dst, v)?;
             }
             Inst::MovLoad { w, dst, mem } => {
                 let addr = self.lift_addr(b, &mem)?;
                 let width = w.ir();
-                let v = self.emit(b, width, |dst| InstKind::Load { dst, addr, width });
+                let v = self
+                    .fx
+                    .emit(b, width, |dst| InstKind::Load { dst, addr, width });
                 self.write_reg(dst, v)?;
             }
             Inst::MovStore { w: _, mem, src } => {
                 let addr = self.lift_addr(b, &mem)?;
                 let val = self.read_reg(b, src)?;
-                self.func.append_inst(b, InstKind::Store { addr, val });
+                self.fx.func.append_inst(b, InstKind::Store { addr, val });
             }
             Inst::MovStoreImm { w: _, mem, imm } => {
                 let addr = self.lift_addr(b, &mem)?;
-                let val = self.const_int(i64::from(imm), Width::W64);
-                self.func.append_inst(b, InstKind::Store { addr, val });
+                let val = self.fx.const_int(i64::from(imm), Width::W64);
+                self.fx.func.append_inst(b, InstKind::Store { addr, val });
             }
             Inst::MovZx { from, dst, src } => {
                 // The register form is a masked view of the wide register.
@@ -879,7 +641,8 @@ impl<'a> Lifter<'a> {
                     Rm::Mem(mem) => {
                         let addr = self.lift_addr(b, &mem)?;
                         let width = from.ir();
-                        self.emit(b, width, |dst| InstKind::Load { dst, addr, width })
+                        self.fx
+                            .emit(b, width, |dst| InstKind::Load { dst, addr, width })
                     }
                 };
                 self.write_reg(dst, v)?;
@@ -895,16 +658,16 @@ impl<'a> Lifter<'a> {
                         // bit-identical IR. The constant binds before the
                         // register read to match SB's `movi` staging order.
                         let amt = i64::from(64 - from.bits());
-                        let c1 = self.const_int(amt, Width::W64);
+                        let c1 = self.fx.const_int(amt, Width::W64);
                         let lhs = self.read_reg(b, r)?;
-                        let hi = self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                        let hi = self.fx.emit(b, Width::W64, |dst| InstKind::BinOp {
                             op: BinOp::Shl,
                             dst,
                             lhs,
                             rhs: c1,
                         });
-                        let c2 = self.const_int(amt, Width::W64);
-                        self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                        let c2 = self.fx.const_int(amt, Width::W64);
+                        self.fx.emit(b, Width::W64, |dst| InstKind::BinOp {
                             op: BinOp::Shr,
                             dst,
                             lhs: hi,
@@ -916,7 +679,8 @@ impl<'a> Lifter<'a> {
                     Rm::Mem(mem) => {
                         let addr = self.lift_addr(b, &mem)?;
                         let width = from.ir();
-                        self.emit(b, width, |dst| InstKind::Load { dst, addr, width })
+                        self.fx
+                            .emit(b, width, |dst| InstKind::Load { dst, addr, width })
                     }
                 };
                 self.write_reg(dst, v)?;
@@ -931,19 +695,11 @@ impl<'a> Lifter<'a> {
                 }
                 Mem::Rip { disp } => {
                     let v = match self.rip_addr(disp, b)? {
-                        RipTarget::Global(g, 0) => self.global_value(g),
                         RipTarget::Global(g, inner) => {
                             let base = self.global_value(g);
-                            self.emit(b, Width::W64, |dst| InstKind::Gep {
-                                dst,
-                                base,
-                                offset: inner,
-                            })
+                            self.fx.gep(b, base, inner)
                         }
-                        RipTarget::Func(f) => self.func.add_value(Value {
-                            kind: ValueKind::FuncAddr(f),
-                            width: Width::W64,
-                        }),
+                        RipTarget::Func(f) => self.fx.value(ValueKind::FuncAddr(f), Width::W64),
                     };
                     self.write_reg(dst, v)?;
                 }
@@ -970,7 +726,7 @@ impl<'a> Lifter<'a> {
                 // Immediate before the register read: the read may create a
                 // phi, and SB's `movi` staging binds its constant first, so
                 // value creation order must match that sequence.
-                let rhs = self.const_int(i64::from(imm), Width::W64);
+                let rhs = self.fx.const_int(i64::from(imm), Width::W64);
                 let lhs = self.read_reg(b, dst)?;
                 self.flags = FlagSrc::Cmp { lhs, rhs };
             }
@@ -981,7 +737,7 @@ impl<'a> Lifter<'a> {
             } => {
                 let lhs = self.read_reg(b, dst)?;
                 let addr = self.lift_addr(b, &mem)?;
-                let rhs = self.emit(b, Width::W64, |dst| InstKind::Load {
+                let rhs = self.fx.emit(b, Width::W64, |dst| InstKind::Load {
                     dst,
                     addr,
                     width: Width::W64,
@@ -992,29 +748,35 @@ impl<'a> Lifter<'a> {
                 let lhs = self.read_reg(b, dst)?;
                 let rhs = self.read_reg(b, src)?;
                 let op = Self::alu_binop(op);
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                let v = self
+                    .fx
+                    .emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
                 self.write_reg(dst, v)?;
                 self.flags = FlagSrc::None;
             }
             Inst::AluRI { op, dst, imm } => {
                 // Immediate first, as in the compare arm above.
-                let rhs = self.const_int(i64::from(imm), Width::W64);
+                let rhs = self.fx.const_int(i64::from(imm), Width::W64);
                 let lhs = self.read_reg(b, dst)?;
                 let op = Self::alu_binop(op);
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                let v = self
+                    .fx
+                    .emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
                 self.write_reg(dst, v)?;
                 self.flags = FlagSrc::None;
             }
             Inst::AluRM { op, dst, mem } => {
                 let lhs = self.read_reg(b, dst)?;
                 let addr = self.lift_addr(b, &mem)?;
-                let rhs = self.emit(b, Width::W64, |dst| InstKind::Load {
+                let rhs = self.fx.emit(b, Width::W64, |dst| InstKind::Load {
                     dst,
                     addr,
                     width: Width::W64,
                 });
                 let op = Self::alu_binop(op);
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                let v = self
+                    .fx
+                    .emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
                 self.write_reg(dst, v)?;
                 self.flags = FlagSrc::None;
             }
@@ -1025,44 +787,21 @@ impl<'a> Lifter<'a> {
             }
             Inst::ShiftRI { sh, dst, amt } => {
                 // Immediate first, as in the compare arm above.
-                let rhs = self.const_int(i64::from(amt), Width::W64);
+                let rhs = self.fx.const_int(i64::from(amt), Width::W64);
                 let lhs = self.read_reg(b, dst)?;
                 let op = match sh {
                     Shift::Shl => BinOp::Shl,
                     Shift::Shr => BinOp::Shr,
                 };
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                let v = self
+                    .fx
+                    .emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
                 self.write_reg(dst, v)?;
                 self.flags = FlagSrc::None;
             }
-            // --- Control flow. ----------------------------------------
-            Inst::Jcc { cc, rel } => {
-                let cond = self.materialize_flags(b, cc)?;
-                let target = self.branch_target(off, len, rel)?;
-                let else_bb = self.block_of[target];
-                let then_bb = if idx + 1 < n {
-                    self.block_of[idx + 1]
-                } else {
-                    // Branch at the very end: no fallthrough exists; both
-                    // arms go to the target.
-                    else_bb
-                };
-                self.func.replace_terminator(
-                    b,
-                    Terminator::CondBr {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    },
-                );
-                *terminated = true;
-            }
-            Inst::Jmp { rel } => {
-                let target = self.branch_target(off, len, rel)?;
-                self.func
-                    .replace_terminator(b, Terminator::Br(self.block_of[target]));
-                *terminated = true;
-            }
+            // --- Control flow (the skeleton sets terminators). --------
+            Inst::Jcc { cc, .. } => return Ok(Some(self.materialize_flags(b, cc)?)),
+            Inst::Jmp { .. } | Inst::Ret => {}
             Inst::Call { rel } => {
                 let addr = rip_target(self.image, self.func_index, (off + len) as u64, rel);
                 if let Some(ti) = self.image.func_at_addr(addr) {
@@ -1075,7 +814,7 @@ impl<'a> Lifter<'a> {
                     let nargs = target.nparams as usize;
                     self.finish_call(b, Callee::Direct(FuncId::from_index(ti)), nargs, ret)?;
                 } else if let Some(ei) = self.image.plt_at_addr(addr) {
-                    let decl = self.module.extern_decl(ExternId(ei as u32));
+                    let decl = module.extern_decl(ExternId(ei as u32));
                     let nargs = self.image.externs[ei].nparams as usize;
                     let ret = decl.ret_width;
                     self.finish_call(b, Callee::Extern(ExternId(ei as u32)), nargs, ret)?;
@@ -1096,17 +835,8 @@ impl<'a> Lifter<'a> {
                 let nargs = self.args_written.iter().take_while(|&&w| w).count();
                 self.finish_call(b, Callee::Indirect(fp), nargs, Some(Width::W64))?;
             }
-            Inst::Ret => {
-                let val = if self.src.has_ret {
-                    Some(self.read_reg(b, Gpr::RAX)?)
-                } else {
-                    None
-                };
-                self.func.replace_terminator(b, Terminator::Ret(val));
-                *terminated = true;
-            }
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -1118,8 +848,9 @@ enum RipTarget {
     Func(FuncId),
 }
 
-/// The x86-64 frontend plugin: recognizes XLF images by their ELF magic
-/// and lifts them via [`lift`].
+/// The x86-64 frontend plugin: recognizes XLF images by their ELF magic,
+/// converts them to and from the Intel-like assembly syntax, and lifts
+/// them via [`lift`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct X86Frontend;
 
@@ -1137,15 +868,23 @@ impl Frontend for X86Frontend {
     }
 
     fn lift_bytes(&self, bytes: &[u8]) -> Result<Module, FrontendError> {
-        let image =
-            crate::image::decode_image(bytes).map_err(|e| FrontendError::new(e.to_string()))?;
-        lift(&image).map_err(|e| FrontendError::new(e.message))
+        Ok(lift(&crate::image::decode_image(bytes)?)?)
+    }
+
+    fn assemble(&self, text: &str) -> Result<Vec<u8>, FrontendError> {
+        Ok(crate::image::encode_image(&crate::asm::assemble(text)?))
+    }
+
+    fn disassemble(&self, bytes: &[u8]) -> Result<String, FrontendError> {
+        Ok(crate::asm::disassemble(&crate::image::decode_image(
+            bytes,
+        )?)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use manta_ir::CmpPred;
+    use manta_ir::{CmpPred, ConstKind, Terminator};
 
     use super::*;
     use crate::asm::assemble;
