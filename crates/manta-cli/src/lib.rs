@@ -851,8 +851,8 @@ fn run_command(
             if let Some(c) = &cache {
                 // Per-entry-kind traffic straight off the store: `infer`
                 // (inference results), `prov` (provenance graphs),
-                // `module` (lifted-module file cache), `modidx`/`func`/
-                // `row` (incremental per-function rows), `fsum`
+                // `module` (lifted-module file cache), `modidx` (last
+                // module fingerprint per module name), `fsum`
                 // (per-function summary state).
                 for (kind, hits, misses) in c.store().kind_traffic() {
                     let _ = writeln!(out, "  cache[{kind}]: {hits} hits, {misses} misses");
@@ -869,12 +869,9 @@ fn run_command(
             );
             let _ = writeln!(
                 out,
-                "summaries: {} chunk replays, {} recomputes, {} wavefronts \
-                 (max width {}), {} corrupt states",
+                "summaries: {} chunk replays, {} recomputes, {} corrupt states",
                 counter("summary.hits"),
                 counter("summary.recomputes"),
-                counter("summary.wavefronts"),
-                counter("summary.wavefront_width_max"),
                 counter("summary.state_corrupt"),
             );
             let _ = writeln!(out, "pointsto: peak |pts| {}", counter("pointsto.peak_pts"));

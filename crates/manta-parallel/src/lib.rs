@@ -10,10 +10,6 @@
 //! per-function stages; because every merge happens in input
 //! (function-id) order, parallel output is bit-identical to serial.
 //!
-//! The [`wavefront`] module layers dependency-ordered scheduling on top
-//! of `par_map`: SCC condensation plus level-by-level dispatch, used by
-//! the summary driver.
-//!
 //! ## Determinism contract
 //!
 //! `par_map(items, f)` returns exactly `items.into_iter().map(f)
@@ -48,8 +44,6 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-pub mod wavefront;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -18,12 +18,10 @@
 //!   nondeterministic and must never be persisted).
 //!
 //! Stale data is impossible by construction — changed inputs hash to
-//! different keys — and the per-function index maintained by
+//! different keys — and the module index maintained by
 //! [`AnalysisCache::sync_module`] adds *physical* invalidation on top:
-//! when a function's canonical text changes, the entries of every
-//! function in its bidirectional call-graph closure (the sound dirty set
-//! under global unification) are deleted, along with the stale
-//! module-level entries.
+//! when a module's fingerprint changes, the `infer` results and `prov`
+//! graphs of its superseded fingerprint are deleted.
 //!
 //! ## Degradation, not failure
 //!
@@ -41,8 +39,7 @@ use manta_analysis::{ModuleAnalysis, ObjectId, VarRef};
 use manta_ir::{printer, FuncId, InstId, Type, ValueId, Width};
 use manta_resilience::{Degradation, DegradationKind};
 use manta_store::{
-    hash_str, ByteReader, ByteWriter, DecodeError, DepGraph, Fingerprint, Key, OpenOutcome, Store,
-    StoreError,
+    hash_str, ByteReader, ByteWriter, DecodeError, Fingerprint, Key, OpenOutcome, Store, StoreError,
 };
 
 use crate::interval::TypeInterval;
@@ -67,22 +64,6 @@ const MAX_DECODE_DEPTH: usize = 64;
 #[must_use]
 pub fn module_fingerprint(module: &manta_ir::Module) -> u64 {
     hash_str(&printer::print_module(module))
-}
-
-/// Per-function content hashes `(name, fingerprint)`, in id order. Two
-/// functions with identical canonical text hash identically — the input
-/// to dependency-aware invalidation.
-#[must_use]
-pub fn function_fingerprints(module: &manta_ir::Module) -> Vec<(String, u64)> {
-    module
-        .functions()
-        .map(|f| {
-            (
-                f.name().to_string(),
-                hash_str(&printer::print_function_canonical(module, f)),
-            )
-        })
-        .collect()
 }
 
 /// Hash of every configuration bit that can change an inference result:
@@ -493,23 +474,9 @@ pub fn decode_result(payload: &[u8]) -> Result<InferenceResult, DecodeError> {
 // The cache
 // ---------------------------------------------------------------------
 
-/// What [`AnalysisCache::sync_module`] found and did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ModuleSync {
-    /// Functions whose canonical text changed (or are new) since the
-    /// last sync, by name.
-    pub changed: Vec<String>,
-    /// The bidirectional call-graph closure of `changed` — every
-    /// function whose cached per-function results may be stale under
-    /// global unification.
-    pub affected: Vec<String>,
-    /// Entry files physically removed.
-    pub invalidated: usize,
-}
-
 /// A persistent analysis cache: a [`Store`] plus the Manta-side
 /// policies (keying, codec, fault-injection bypass, degradation
-/// logging, per-function dependency index).
+/// logging, the per-module fingerprint index).
 #[derive(Debug)]
 pub struct AnalysisCache {
     store: Store,
@@ -600,130 +567,33 @@ impl AnalysisCache {
         }
     }
 
-    /// Syncs the per-function fingerprint index against `analysis` and
-    /// performs dependency-aware invalidation: the entries of every
-    /// function in the bidirectional call-graph closure of the changed
-    /// set are removed, and module-level entries for the superseded
-    /// module fingerprint are dropped.
-    pub fn sync_module(&self, analysis: &ModuleAnalysis) -> ModuleSync {
+    /// Records `analysis`'s module fingerprint under its module name
+    /// and, when it differs from the last one recorded, deletes the
+    /// `infer` results and `prov` graphs of the superseded fingerprint.
+    /// Returns the number of entry files removed.
+    pub fn sync_module(&self, analysis: &ModuleAnalysis) -> usize {
         let module = analysis.module();
-        let fingerprints = function_fingerprints(module);
-        let module_fp = module_fingerprint(module);
-        self.sync_module_with(analysis, &fingerprints, module_fp)
+        self.sync_fingerprint(module.name(), module_fingerprint(module))
     }
 
-    /// [`sync_module`] with the fingerprints precomputed by the caller:
-    /// canonical-text hashing is the dominant fixed cost of a cached
-    /// solve, so a driver that needs the fingerprints anyway (the
-    /// summary path does) must not hash the module twice.
+    /// [`sync_module`] with the fingerprint precomputed by the caller
+    /// (the engine needs it for its own keys). The index entry is
+    /// written only when the fingerprint changed, so a warm hit writes
+    /// nothing.
     ///
     /// [`sync_module`]: AnalysisCache::sync_module
-    pub(crate) fn sync_module_with(
-        &self,
-        analysis: &ModuleAnalysis,
-        fingerprints: &[(String, u64)],
-        module_fp: u64,
-    ) -> ModuleSync {
-        let module = analysis.module();
-        let index_key = Key::new("modidx", hash_str(module.name()), 0);
-        let previous = self
-            .store
-            .get(&index_key)
-            .and_then(|p| decode_index(&p).ok());
-
-        let mut sync = ModuleSync::default();
-        if let Some(prev) = &previous {
-            let prev_map: HashMap<&str, u64> = prev
-                .functions
-                .iter()
-                .map(|(n, f)| (n.as_str(), *f))
-                .collect();
-            let cur_map: HashMap<&str, u64> =
-                fingerprints.iter().map(|(n, f)| (n.as_str(), *f)).collect();
-
-            for (name, fp) in fingerprints {
-                if prev_map.get(name.as_str()) != Some(fp) {
-                    sync.changed.push(name.clone());
-                }
-            }
-            // Removed functions count as changes too: their callers'
-            // summaries are stale.
-            let mut removed: Vec<&String> = prev
-                .functions
-                .iter()
-                .map(|(n, _)| n)
-                .filter(|n| !cur_map.contains_key(n.as_str()))
-                .collect();
-            removed.sort();
-
-            if !sync.changed.is_empty() || !removed.is_empty() {
-                // Bidirectional closure over the *current* call graph.
-                let ids: HashMap<&str, u32> = fingerprints
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (n, _))| (n.as_str(), i as u32))
-                    .collect();
-                let mut graph = DepGraph::new(fingerprints.len());
-                for e in analysis.callgraph.edges() {
-                    let caller = module.function(e.caller).name();
-                    let callee = module.function(e.callee).name();
-                    if let (Some(&a), Some(&b)) = (ids.get(caller), ids.get(callee)) {
-                        graph.add_dep(a, b);
-                    }
-                }
-                let mut seeds: Vec<u32> = sync
-                    .changed
-                    .iter()
-                    .filter_map(|n| ids.get(n.as_str()).copied())
-                    .collect();
-                // Callers of removed functions seed through the previous
-                // index: they are current functions whose callee set
-                // shrank, so their own text changed too in any
-                // well-formed edit; seeding `changed` already covers
-                // them, but keep removed names visible in the report.
-                seeds.sort_unstable();
-                for idx in graph.affected(&seeds) {
-                    sync.affected.push(fingerprints[idx as usize].0.clone());
-                }
-
-                // Physical invalidation: per-function entries of every
-                // affected function (old and new fingerprints), plus
-                // superseded module-level entries.
-                for name in &sync.affected {
-                    for fp in [
-                        prev_map.get(name.as_str()).copied(),
-                        cur_map.get(name.as_str()).copied(),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    {
-                        sync.invalidated += self.store.invalidate_content("func", fp);
-                    }
-                }
-                for (_, fp) in removed
-                    .iter()
-                    .filter_map(|n| prev.functions.iter().find(|(pn, _)| pn == n.as_str()))
-                {
-                    sync.invalidated += self.store.invalidate_content("func", *fp);
-                }
-                if prev.module != module_fp {
-                    sync.invalidated += self.store.invalidate_content("infer", prev.module);
-                    sync.invalidated += self.store.invalidate_content("row", prev.module);
-                }
-            }
-        } else {
-            sync.changed = fingerprints.iter().map(|(n, _)| n.clone()).collect();
-            sync.affected.clone_from(&sync.changed);
+    pub(crate) fn sync_fingerprint(&self, module_name: &str, fingerprint: u64) -> usize {
+        let index_key = Key::new("modidx", hash_str(module_name), 0);
+        let previous = self.store.get(&index_key).and_then(|p| decode_index(&p));
+        if previous == Some(fingerprint) {
+            return 0;
         }
-
-        let _ = self.store.put(
-            &index_key,
-            &encode_index(&FunctionIndex {
-                module: module_fp,
-                functions: fingerprints.to_vec(),
-            }),
-        );
-        sync
+        let mut w = ByteWriter::new();
+        w.u32(CODEC_VERSION).u64(fingerprint);
+        let _ = self.store.put(&index_key, &w.finish());
+        previous.map_or(0, |old| {
+            self.store.invalidate_content("infer", old) + self.store.invalidate_content("prov", old)
+        })
     }
 }
 
@@ -735,37 +605,15 @@ pub fn results_identical(a: &InferenceResult, b: &InferenceResult) -> bool {
     encode_result(a) == encode_result(b)
 }
 
-/// The persisted per-module function index.
-struct FunctionIndex {
-    module: u64,
-    functions: Vec<(String, u64)>,
-}
-
-fn encode_index(index: &FunctionIndex) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(CODEC_VERSION);
-    w.u64(index.module);
-    w.usize(index.functions.len());
-    for (name, fp) in &index.functions {
-        w.str(name).u64(*fp);
-    }
-    w.finish()
-}
-
-fn decode_index(payload: &[u8]) -> Result<FunctionIndex, DecodeError> {
+/// Decodes a module index entry: the last synced module fingerprint.
+fn decode_index(payload: &[u8]) -> Option<u64> {
     let mut r = ByteReader::new(payload);
-    if r.u32("index version")? != CODEC_VERSION {
-        return Err(bad("index version"));
+    if r.u32("index version").ok()? != CODEC_VERSION {
+        return None;
     }
-    let module = r.u64("module fp")?;
-    let n = r.len("function count")?;
-    let mut functions = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let name = r.str("function name")?.to_string();
-        functions.push((name, r.u64("function fp")?));
-    }
-    r.expect_end("function index")?;
-    Ok(FunctionIndex { module, functions })
+    let fingerprint = r.u64("module fp").ok()?;
+    r.expect_end("module index").ok()?;
+    Some(fingerprint)
 }
 
 #[cfg(test)]
@@ -829,12 +677,15 @@ mod tests {
         let cache = AnalysisCache::open(&dir).unwrap();
         let analysis = ModuleAnalysis::build(sample_module(true));
         let cold = run_cached(MantaConfig::full(), &analysis, &cache);
+        let written = cache.store().stats().snapshot().bytes_written;
         let warm = run_cached(MantaConfig::full(), &analysis, &cache);
         assert!(results_identical(&cold, &warm));
-        // Two gets per analyze: the per-module function index (synced by
-        // the engine driver) and the inference entry itself.
+        // Two gets per analyze: the module index (synced by the engine
+        // driver) and the inference entry itself. A hit writes nothing:
+        // the index is rewritten only when the fingerprint moves.
         let s = cache.store().stats().snapshot();
         assert_eq!((s.hits, s.misses), (2, 2));
+        assert_eq!(s.bytes_written, written, "a warm hit wrote to the store");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -850,28 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_module_reports_dependency_closure() {
-        let dir = temp_dir("sync");
-        let cache = AnalysisCache::open(&dir).unwrap();
-        let before = ModuleAnalysis::build(sample_module(true));
-        let first = cache.sync_module(&before);
-        assert_eq!(first.changed.len(), 2, "everything new on first sync");
-
-        // No edit: nothing changes.
-        let clean = cache.sync_module(&before);
-        assert!(clean.changed.is_empty(), "{clean:?}");
-        assert!(clean.affected.is_empty());
-
-        // Edit `grab` only: `leaf` has no call edge to it, so the
-        // affected set is exactly `grab`.
-        let after = ModuleAnalysis::build(sample_module(false));
-        let edit = cache.sync_module(&after);
-        assert_eq!(edit.changed, vec!["grab".to_string()]);
-        assert_eq!(edit.affected, vec!["grab".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn module_edit_invalidates_stale_infer_entries() {
         let dir = temp_dir("inval");
         let cache = AnalysisCache::open(&dir).unwrap();
@@ -881,12 +710,49 @@ mod tests {
         assert_eq!(cache.store().len(), 2, "index + infer entry");
 
         let after = ModuleAnalysis::build(sample_module(false));
-        let sync = cache.sync_module(&after);
-        assert!(sync.invalidated >= 1, "{sync:?}");
+        assert!(cache.sync_module(&after) >= 1, "the stale infer entry");
         // The old infer entry is gone; a fresh one lands under a new key.
         let warm = run_cached(MantaConfig::full(), &after, &cache);
         let direct = Manta::new(MantaConfig::full()).infer(&after);
         assert!(results_identical(&warm, &direct));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Editing a module under a provenance engine drops the superseded
+    /// provenance graph along with the superseded result.
+    #[test]
+    fn module_edit_drops_stale_provenance_entries() {
+        let dir = temp_dir("prov-edit");
+        let cache = std::sync::Arc::new(AnalysisCache::open(&dir).unwrap());
+        let engine = crate::Engine::builder()
+            .config(MantaConfig::full())
+            .provenance(true)
+            .cache(std::sync::Arc::clone(&cache))
+            .build()
+            .unwrap();
+        let budget = manta_resilience::Budget::unlimited();
+        let before = engine
+            .build_substrate(sample_module(true), &budget)
+            .unwrap();
+        let old = module_fingerprint(before.module());
+        let _ = engine.analyze_explained(&before).unwrap();
+        let stale = |stage: &str| {
+            let prefix = format!("{stage}-{old:016x}-");
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(Result::ok)
+                .any(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        };
+        assert!(stale("prov") && stale("infer"), "both entries written");
+
+        let after = engine
+            .build_substrate(sample_module(false), &budget)
+            .unwrap();
+        let (_, graph) = engine.analyze_explained(&after).unwrap();
+        assert!(graph.is_some());
+        assert!(!stale("prov"), "superseded provenance graph left behind");
+        assert!(!stale("infer"), "superseded result left behind");
+        drop((engine, cache));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,12 +24,13 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use manta_analysis::cfl::{ctx_op, CtxStack, Direction};
 use manta_analysis::{DepKind, ModuleAnalysis, NodeId, VarRef};
-use manta_ir::{FuncId, Type};
+use manta_ir::Type;
 use manta_resilience::{Budget, BudgetExceeded};
 
-use crate::classify;
 use crate::interval::{FirstLayer, Resolution, TypeInterval};
+use crate::refine::{refine_stage, Footprint};
 use crate::reveal::RevealMap;
+use crate::summaries::ChunkMemo;
 use crate::{InferenceResult, MantaConfig, Stage};
 
 /// Runs Algorithm 1 over the current `V_O` set, narrowing intervals in
@@ -40,154 +41,52 @@ pub fn refine(
     config: &MantaConfig,
     result: &mut InferenceResult,
 ) {
-    match refine_budgeted(analysis, reveals, config, result, &Budget::unlimited()) {
+    match refine_budgeted(
+        analysis,
+        reveals,
+        config,
+        result,
+        &Budget::unlimited(),
+        None,
+    ) {
         Ok(()) => {}
         Err(_) => unreachable!("unlimited budget tripped"),
     }
 }
 
-/// [`refine`] under a cooperative budget: one fuel unit per candidate
-/// variable plus one per DDG node visited by its forward walk.
+/// [`refine`] through the shared refinement driver, under a cooperative
+/// budget (one fuel unit per candidate variable plus one per DDG node
+/// visited by its forward walk) and with an optional summary memo.
 ///
 /// # Errors
 ///
 /// Returns the tripped limit *before* committing any interval update, so
 /// `result` still reflects the previous tier exactly.
-pub fn refine_budgeted(
+pub(crate) fn refine_budgeted(
     analysis: &ModuleAnalysis,
     reveals: &RevealMap,
     config: &MantaConfig,
     result: &mut InferenceResult,
     budget: &Budget,
+    memo: Option<&mut ChunkMemo>,
 ) -> Result<(), BudgetExceeded> {
-    let over = classify::over_approximated(analysis, result);
-    manta_telemetry::counter("cs.candidates", over.len() as u64);
-
-    // Candidates only read the pre-refinement `result` (updates are applied
-    // after the loop), so each per-function partition refines independently
-    // on the pool; partitions are merged back in candidate order, which is
-    // function order. The roots memo becomes partition-local — it is a pure
-    // cache, so recomputation across partitions cannot change any answer.
-    let chunks = partition_by_func(over);
-    let shared: &InferenceResult = result;
-    let per_chunk: Vec<Result<Vec<(VarRef, TypeInterval)>, BudgetExceeded>> =
-        manta_parallel::par_map(chunks, |chunk| {
-            refine_chunk(
-                analysis,
-                reveals,
-                config,
-                shared,
-                budget,
-                chunk,
-                &mut Footprint::off(),
-            )
-        });
-    let mut updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-    for chunk in per_chunk {
-        updates.extend(chunk?);
-    }
-    manta_telemetry::counter("cs.refined", updates.len() as u64);
-    for (v, interval) in updates {
-        result.var_types.insert(v, interval);
-    }
-    let counts = classify::classify(analysis, result);
-    result.stage_counts.push((Stage::ContextRefine, counts));
-    Ok(())
-}
-
-/// Records which functions' data a refinement walk read. The summary
-/// cache replays a cached chunk only when every function in its recorded
-/// footprint has an unchanged input fingerprint, so the footprint must
-/// cover *everything* the walk's outcome depends on: every DDG node
-/// visited (its owner's edges and reveals), every variable whose interval
-/// fed an arithmetic feasibility check, and every function whose CFG
-/// blocks or caller list the flow-sensitive walker consulted. Recording
-/// is off (`None`, a branch per touch) on the ordinary full-solve path.
-/// The recorder is a dense bitset over function indices: a touch per
-/// visited node is on every walk's hot path, so it has to be a couple
-/// of instructions, not a tree insert.
-#[derive(Default, Debug)]
-pub(crate) struct Footprint {
-    bits: Option<Vec<u64>>,
-}
-
-impl Footprint {
-    /// A disabled recorder: `touch` is a no-op.
-    pub(crate) fn off() -> Footprint {
-        Footprint { bits: None }
-    }
-
-    /// An enabled recorder over a module with `n_funcs` functions.
-    pub(crate) fn on(n_funcs: usize) -> Footprint {
-        Footprint {
-            bits: Some(vec![0; n_funcs.div_ceil(64)]),
-        }
-    }
-
-    /// A recorder in the same state (on/off) as `other`, for walks whose
-    /// borrows force a separate accumulator merged back via [`absorb`].
-    ///
-    /// [`absorb`]: Footprint::absorb
-    pub(crate) fn like(other: &Footprint) -> Footprint {
-        Footprint {
-            bits: other.bits.as_ref().map(|b| vec![0; b.len()]),
-        }
-    }
-
-    /// Records that the walk read function `f`'s data.
-    #[inline]
-    pub(crate) fn touch(&mut self, f: FuncId) {
-        if let Some(bits) = &mut self.bits {
-            bits[f.index() >> 6] |= 1 << (f.index() & 63);
-        }
-    }
-
-    /// Folds another recorder's touches into this one.
-    pub(crate) fn absorb(&mut self, other: Footprint) {
-        if let (Some(dst), Some(src)) = (&mut self.bits, other.bits) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d |= s;
-            }
-        }
-    }
-
-    /// The recorded function set in index order (empty when recording
-    /// was off).
-    pub(crate) fn into_funcs(self) -> Vec<FuncId> {
-        let Some(bits) = self.bits else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (w, word) in bits.into_iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                out.push(FuncId((w << 6 | b) as u32));
-                word &= word - 1;
-            }
-        }
-        out
-    }
-}
-
-/// Splits an already function-ordered candidate list into runs sharing a
-/// function — the unit of work the refinement stages hand to the pool.
-pub(crate) fn partition_by_func(over: Vec<VarRef>) -> Vec<Vec<VarRef>> {
-    let mut chunks: Vec<Vec<VarRef>> = Vec::new();
-    for v in over {
-        match chunks.last_mut() {
-            Some(chunk) if chunk[0].func == v.func => chunk.push(v),
-            _ => chunks.push(vec![v]),
-        }
-    }
-    chunks
+    refine_stage(
+        analysis,
+        result,
+        Stage::ContextRefine,
+        memo,
+        |frozen, chunk, fp| {
+            let vars = refine_chunk(analysis, reveals, config, frozen, budget, chunk, fp)?;
+            Ok((vars, Vec::new()))
+        },
+    )
 }
 
 /// Refines one per-function candidate partition. Fuel is charged exactly
 /// as the historical serial loop: one unit per candidate plus the size of
 /// its forward walk. With an enabled `fp`, records every function whose
-/// data the walks read (the summary cache's reuse precondition).
-pub(crate) fn refine_chunk(
+/// data the walks read (the summary memo's reuse precondition).
+fn refine_chunk(
     analysis: &ModuleAnalysis,
     reveals: &RevealMap,
     config: &MantaConfig,

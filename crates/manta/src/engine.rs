@@ -36,6 +36,7 @@ use manta_store::{Key, StoreError};
 
 use crate::cache::{config_hash, encode_result, module_fingerprint, AnalysisCache};
 use crate::provenance::ProvenanceGraph;
+use crate::summaries::{self, ChunkMemo};
 use crate::{
     ctx_refine, flow_insensitive, flow_refine, reveal, InferenceResult, MantaConfig, Sensitivity,
 };
@@ -45,23 +46,31 @@ use crate::{
 // ---------------------------------------------------------------------
 
 /// Everything a [`Stage`] may read or write while it runs: the analysis
-/// substrate, the reveal map, and the evolving [`InferenceResult`].
+/// substrate, the reveal map, the evolving [`InferenceResult`], and —
+/// in summary mode — the chunk memo the refinement stages consult.
 pub struct StageCtx<'a> {
     config: MantaConfig,
     budget: &'a Budget,
     analysis: &'a ModuleAnalysis,
     reveals: Option<reveal::RevealMap>,
     result: InferenceResult,
+    memo: Option<&'a mut ChunkMemo>,
 }
 
 impl<'a> StageCtx<'a> {
-    fn over(analysis: &'a ModuleAnalysis, config: MantaConfig, budget: &'a Budget) -> StageCtx<'a> {
+    fn over(
+        analysis: &'a ModuleAnalysis,
+        config: MantaConfig,
+        budget: &'a Budget,
+        memo: Option<&'a mut ChunkMemo>,
+    ) -> StageCtx<'a> {
         StageCtx {
             config,
             budget,
             analysis,
             reveals: None,
             result: InferenceResult::empty(config),
+            memo,
         }
     }
 
@@ -240,6 +249,7 @@ impl Stage for CsStage {
             &ctx.config,
             &mut ctx.result,
             ctx.budget,
+            ctx.memo.as_deref_mut(),
         )
         .map_err(|e| budget_error(self.site(), e))
     }
@@ -270,6 +280,7 @@ impl Stage for FsRefineStage {
             &ctx.config,
             &mut ctx.result,
             ctx.budget,
+            ctx.memo.as_deref_mut(),
         )
         .map_err(|e| budget_error(self.site(), e))
     }
@@ -384,14 +395,15 @@ impl EngineBuilder {
     }
 
     /// Enables compositional per-function summaries: with a cache
-    /// attached, a module-fingerprint miss re-solves incrementally —
-    /// reveal/FI/classification fresh, refinement chunks replayed from
-    /// the persisted summary state wherever their recorded input
-    /// footprints still validate (see [`crate::summaries`]). Results
-    /// stay bit-identical to the full pipeline. Ignored without a
-    /// cache; bypassed (full pipeline) under fuel limits, deadlines,
-    /// strict mode, fault plans, provenance recording, and the
-    /// standalone-FS sensitivity.
+    /// attached, a module-fingerprint miss runs the ordinary pipeline
+    /// with a chunk memo — reveal/FI/classification fresh, refinement
+    /// chunks replayed from the persisted summary state wherever their
+    /// recorded input footprints still validate (see
+    /// [`crate::summaries`]). Results and provenance graphs stay
+    /// bit-identical to the full pipeline. Ignored without a cache;
+    /// bypassed (no memo) under fuel limits and the standalone-FS
+    /// sensitivity, and with the whole cache under deadlines, strict
+    /// mode and fault plans.
     #[must_use]
     pub fn summaries(mut self, enabled: bool) -> Self {
         self.summaries = enabled;
@@ -631,7 +643,7 @@ impl Engine {
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
         match &self.cache {
             Some(cache) => self.analyze_cached(analysis, cache, external),
-            None => self.run_uncached(analysis, external),
+            None => self.run_uncached(analysis, external, None),
         }
     }
 
@@ -639,22 +651,23 @@ impl Engine {
         &self,
         analysis: &ModuleAnalysis,
         external: Option<&Budget>,
+        memo: Option<&mut ChunkMemo>,
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
         match external {
-            Some(budget) => self.run_pipeline(analysis, budget),
-            None => self.run_pipeline(analysis, &self.budget.start()),
+            Some(budget) => self.run_pipeline(analysis, budget, memo),
+            None => self.run_pipeline(analysis, &self.budget.start(), memo),
         }
     }
 
     /// The cache policy, applied in one place: bypass entirely under a
     /// strict engine, an armed fault plan, or a wall-clock deadline
     /// (faults and deadlines make results nondeterministic); otherwise
-    /// sync the per-function index, look up, and persist only
-    /// non-degraded results. A miss charges `external` when given, like
-    /// the uncached path. A provenance-recording engine persists the
-    /// graph next to the result under a `"prov"` key with the same
-    /// fingerprint and config hash — the result payload itself stays
-    /// bit-identical to a provenance-off run.
+    /// sync the module index, look up, and persist only non-degraded
+    /// results. A miss charges `external` when given, like the uncached
+    /// path. A provenance-recording engine persists the graph next to
+    /// the result under a `"prov"` key with the same fingerprint and
+    /// config hash — the result payload itself stays bit-identical to a
+    /// provenance-off run.
     fn analyze_cached(
         &self,
         analysis: &ModuleAnalysis,
@@ -662,14 +675,10 @@ impl Engine {
         external: Option<&Budget>,
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
         if self.strict || plan_active() || self.budget.deadline_ms.is_some() {
-            return self.run_uncached(analysis, external);
+            return self.run_uncached(analysis, external, None);
         }
-        // Canonical-text hashing is the dominant fixed cost of a warm
-        // cached solve; compute the per-function and module
-        // fingerprints once and feed every consumer below.
-        let fingerprints = crate::cache::function_fingerprints(analysis.module());
         let fingerprint = module_fingerprint(analysis.module());
-        cache.sync_module_with(analysis, &fingerprints, fingerprint);
+        cache.sync_fingerprint(analysis.module().name(), fingerprint);
         let cfg = config_hash(&self.config, self.budget.fuel);
         let key = Key::new("infer", fingerprint, cfg);
         let prov_key = Key::new("prov", fingerprint, cfg);
@@ -688,38 +697,27 @@ impl Engine {
                 return Ok((hit, Some(graph)));
             }
         }
-        // Summary mode: on an infer-key miss, re-solve incrementally from
-        // the persisted per-function summary state instead of running the
-        // full pipeline. Limited budgets — the engine's own fuel or a
-        // limited external budget — fall through (a blown budget must
-        // trip exactly where the full pipeline would), as do provenance
-        // engines (stage diffs need the pipeline driver) and ineligible
-        // sensitivities.
-        if self.summaries
-            && !self.provenance
+        // Summary mode: on a miss, the refinement stages replay chunks
+        // from the persisted summary state. Limited budgets — the
+        // engine's own fuel or a limited external budget — run without
+        // the memo (a blown budget must trip exactly where the full
+        // pipeline would), as do ineligible sensitivities.
+        let state_key = (self.summaries
             && self.budget.fuel.is_none()
             && external.is_none_or(Budget::is_unlimited)
-            && crate::summaries::eligible(self.config.sensitivity)
-        {
-            let state_key = crate::summaries::state_key(analysis.module().name(), &self.config);
-            let prev = cache.store().get(&state_key);
-            let (result, state, _report) = crate::summaries::solve_with(
-                analysis,
-                &self.config,
-                prev.as_deref(),
-                &fingerprints,
-            );
-            if !result.is_degraded() {
-                let _ = cache.store().put(&key, &encode_result(&result));
-                let _ = cache.store().put(&state_key, &state);
-            }
-            return Ok((result, None));
-        }
-        let (result, prov) = self.run_uncached(analysis, external)?;
+            && summaries::eligible(self.config.sensitivity))
+        .then(|| summaries::state_key(analysis.module().name(), &self.config));
+        let mut memo = state_key
+            .as_ref()
+            .map(|k| ChunkMemo::new(analysis, cache.store().get(k).as_deref()));
+        let (result, prov) = self.run_uncached(analysis, external, memo.as_mut())?;
         if !result.is_degraded() {
             let _ = cache.store().put(&key, &encode_result(&result));
             if let Some(graph) = &prov {
                 let _ = cache.store().put(&prov_key, &graph.encode());
+            }
+            if let (Some(k), Some(memo)) = (state_key, memo) {
+                let _ = cache.store().put(&k, &memo.finish().0);
             }
         }
         Ok((result, prov))
@@ -727,18 +725,20 @@ impl Engine {
 
     /// The driver loop: every cross-cutting concern — span, fault
     /// point, budget attribution, panic isolation, tier snapshot /
-    /// rollback, degradation record — applied once per stage.
-    fn run_pipeline(
+    /// rollback, degradation record — applied once per stage. With a
+    /// `memo`, the refinement stages replay and record summary chunks.
+    pub(crate) fn run_pipeline(
         &self,
         analysis: &ModuleAnalysis,
         budget: &Budget,
+        memo: Option<&mut ChunkMemo>,
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
         manta_telemetry::span!("infer");
         let mut prov = self.provenance.then(ProvenanceGraph::new);
         if let (Some(graph), Some(p)) = (prov.as_mut(), analysis.pointsto.provenance.as_ref()) {
             graph.record_pointsto(p);
         }
-        let mut ctx = StageCtx::over(analysis, self.config, budget);
+        let mut ctx = StageCtx::over(analysis, self.config, budget, memo);
         let mut completed = String::from("none");
         for stage in stages(self.config.sensitivity) {
             // Stages mutate `ctx.result` in place but only commit after

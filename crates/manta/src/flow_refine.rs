@@ -21,9 +21,11 @@ use manta_ir::{BlockId, FuncId, InstId, Type, ValueKind};
 use manta_resilience::{Budget, BudgetExceeded};
 
 use crate::classify;
-use crate::ctx_refine::{find_roots_traced, Footprint};
+use crate::ctx_refine::find_roots_traced;
 use crate::interval::TypeInterval;
+use crate::refine::{refine_stage, ChunkUpdates, Footprint};
 use crate::reveal::RevealMap;
+use crate::summaries::ChunkMemo;
 use crate::{InferenceResult, MantaConfig, Stage};
 
 /// Runs Algorithm 2 over the current `V_O` set and appends a
@@ -34,81 +36,53 @@ pub fn refine(
     config: &MantaConfig,
     result: &mut InferenceResult,
 ) {
-    match refine_budgeted(analysis, reveals, config, result, &Budget::unlimited()) {
+    match refine_budgeted(
+        analysis,
+        reveals,
+        config,
+        result,
+        &Budget::unlimited(),
+        None,
+    ) {
         Ok(()) => {}
         Err(_) => unreachable!("unlimited budget tripped"),
     }
 }
 
-/// [`refine`] under a cooperative budget: one fuel unit per candidate
-/// variable and one per inspected def/use site.
+/// [`refine`] through the shared refinement driver, under a cooperative
+/// budget (one fuel unit per candidate variable and one per inspected
+/// def/use site) and with an optional summary memo.
 ///
 /// # Errors
 ///
 /// Returns the tripped limit *before* committing any interval update, so
 /// `result` still reflects the previous tier exactly.
-pub fn refine_budgeted(
+pub(crate) fn refine_budgeted(
     analysis: &ModuleAnalysis,
     reveals: &RevealMap,
     config: &MantaConfig,
     result: &mut InferenceResult,
     budget: &Budget,
+    memo: Option<&mut ChunkMemo>,
 ) -> Result<(), BudgetExceeded> {
     let cfgs = Cfgs::new(analysis);
-    let over = classify::over_approximated(analysis, result);
-    manta_telemetry::counter("fs.candidates", over.len() as u64);
-
-    // As in the context-sensitive stage, candidates only read the
-    // pre-refinement `result`; per-function partitions run on the pool and
-    // merge back in candidate (= function) order. The roots memo and the
-    // walker memos are pure caches, so making them partition-local cannot
-    // change any answer.
-    let chunks = crate::ctx_refine::partition_by_func(over);
-    let shared: &InferenceResult = result;
-    let per_chunk: Vec<Result<FsChunkOut, BudgetExceeded>> =
-        manta_parallel::par_map(chunks, |chunk| {
-            refine_chunk(
-                analysis,
-                reveals,
-                config,
-                shared,
-                &cfgs,
-                budget,
-                chunk,
-                &mut Footprint::off(),
-            )
-        });
-    let mut var_updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-    let mut site_updates: Vec<((VarRef, InstId), TypeInterval)> = Vec::new();
-    for chunk in per_chunk {
-        let (vars, sites) = chunk?;
-        var_updates.extend(vars);
-        site_updates.extend(sites);
-    }
-    manta_telemetry::counter("fs.site_types", site_updates.len() as u64);
-    for (v, i) in var_updates {
-        result.var_types.insert(v, i);
-    }
-    for (k, i) in site_updates {
-        result.site_types.insert(k, i);
-    }
-    let counts = classify::classify(analysis, result);
-    result.stage_counts.push((Stage::FlowRefine, counts));
-    Ok(())
+    refine_stage(
+        analysis,
+        result,
+        Stage::FlowRefine,
+        memo,
+        |frozen, chunk, fp| {
+            refine_chunk(analysis, reveals, config, frozen, &cfgs, budget, chunk, fp)
+        },
+    )
 }
-
-/// Variable- and site-level interval updates produced by one partition.
-pub(crate) type FsChunkOut = (
-    Vec<(VarRef, TypeInterval)>,
-    Vec<((VarRef, InstId), TypeInterval)>,
-);
 
 /// Runs Algorithm 2 over one per-function candidate partition. Fuel is
 /// charged exactly as the historical serial loop: one unit per candidate
 /// plus one per inspected def/use site. With an enabled `fp`, records
 /// every function whose data the walks read.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_chunk(
+fn refine_chunk(
     analysis: &ModuleAnalysis,
     reveals: &RevealMap,
     config: &MantaConfig,
@@ -117,7 +91,7 @@ pub(crate) fn refine_chunk(
     budget: &Budget,
     chunk: Vec<VarRef>,
     fp: &mut Footprint,
-) -> Result<FsChunkOut, BudgetExceeded> {
+) -> Result<ChunkUpdates, BudgetExceeded> {
     let mut roots_cache: HashMap<VarRef, BTreeSet<NodeId>> = HashMap::new();
     let mut var_updates: Vec<(VarRef, TypeInterval)> = Vec::new();
     let mut site_updates: Vec<((VarRef, InstId), TypeInterval)> = Vec::new();
@@ -246,7 +220,7 @@ pub fn standalone_fs_budgeted(
     let func_ids: Vec<FuncId> = analysis.module().functions().map(|f| f.id()).collect();
     let alias_ref = &alias_class;
     let cfgs_ref = &cfgs;
-    let per_func: Vec<Result<FsChunkOut, BudgetExceeded>> =
+    let per_func: Vec<Result<ChunkUpdates, BudgetExceeded>> =
         manta_parallel::par_map(func_ids, |fid| {
             let func = analysis.module().function(fid);
             let mut var_updates: Vec<(VarRef, TypeInterval)> = Vec::new();
@@ -316,14 +290,14 @@ pub fn standalone_fs_budgeted(
 }
 
 /// Per-function CFGs plus block/instruction position indexes.
-pub(crate) struct Cfgs {
+struct Cfgs {
     cfg: Vec<Cfg>,
     /// For each function: inst id → (block, index in block).
     positions: Vec<HashMap<InstId, (BlockId, usize)>>,
 }
 
 impl Cfgs {
-    pub(crate) fn new(analysis: &ModuleAnalysis) -> Cfgs {
+    fn new(analysis: &ModuleAnalysis) -> Cfgs {
         let mut cfg = Vec::new();
         let mut positions = Vec::new();
         for f in analysis.module().functions() {

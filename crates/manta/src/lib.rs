@@ -58,6 +58,7 @@ pub mod flow_insensitive;
 pub mod flow_refine;
 pub mod interval;
 pub mod provenance;
+mod refine;
 pub mod reveal;
 pub mod summaries;
 mod unify;

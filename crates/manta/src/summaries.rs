@@ -1,15 +1,19 @@
-//! Compositional per-function summary cache: precise incremental
-//! re-inference after small edits, with wavefront-parallel recomputation.
+//! Compositional per-function summaries: a chunk memo the engine's own
+//! refinement stages consult, for precise incremental re-inference after
+//! small edits.
 //!
 //! ## What is cached, and what is always fresh
 //!
 //! The hybrid-sensitive cascade splits cleanly into two cost classes.
 //! Reveal collection, flow-insensitive unification and classification are
-//! cheap *global* passes — they run fresh on every solve. The expensive
-//! part is the refinement stages (CS, FS): per-candidate CFL walks that
-//! read only frozen inputs (DDG structure, reveals, CFGs, the call graph
-//! and the pre-stage result) and produce independent interval updates.
-//! Those per-function update chunks are what this module caches.
+//! cheap *global* passes — they run fresh on every solve, through the
+//! ordinary engine pipeline. The expensive part is the refinement stages
+//! (CS, FS): per-candidate CFL walks that read only frozen inputs (DDG
+//! structure, reveals, CFGs, the call graph and the pre-stage result) and
+//! produce independent interval updates. Those per-function update chunks
+//! are what a `ChunkMemo` caches. The one refinement driver
+//! (`crate::refine`) asks the memo which chunks replay, dispatches the
+//! rest exactly as an uncached solve does, and hands them back.
 //!
 //! ## Invalidation: input fingerprints × recorded footprints
 //!
@@ -20,52 +24,40 @@
 //! its call-graph adjacency, and the per-value interval slice of the
 //! pre-stage result. Each cached chunk records the **footprint** of the
 //! walks that produced it — every function whose data was read
-//! (`ctx_refine::Footprint`). A chunk is replayed iff every
-//! footprint member's current `IN` matches the value recorded at write
-//! time; otherwise the chunk recomputes. Because the footprint covers
-//! *all* inputs of the walk, replay is bit-identical by construction —
-//! no precision allowlist is needed, and the parity suite pins it.
+//! (`refine::Footprint`). A chunk is replayed iff every footprint
+//! member's current `IN` matches the value recorded at write time, and
+//! no function whose points-to boundary it depends on changed; otherwise
+//! the chunk recomputes. Because the footprint covers *all* inputs of the
+//! walk, replay is bit-identical by construction — no precision allowlist
+//! is needed, and the parity suite pins it.
 //!
 //! This is the verified-cutoff property: after a 1% edit, the re-solve
 //! cost is the cheap global passes plus only the chunks whose recorded
 //! inputs actually changed. A function whose recomputed inputs hash
-//! identically is transitively cut off.
-//!
-//! ## Wavefront scheduling
-//!
-//! Dirty chunks are grouped by the condensation of the call graph
-//! ([`manta_parallel::wavefront::condense`]): each strongly-connected
-//! component sits at a topological level, and every level's chunks
-//! dispatch across the `manta-parallel` pool as one wavefront
-//! ([`manta_parallel::wavefront::wavefront_dispatch`]). Chunks are pure
-//! against the frozen pre-stage result, so wavefronts bound nothing
-//! semantically — they shape the schedule (summaries are the only
-//! cross-shard traffic) and feed the `summary.wavefront*` telemetry.
+//! identically is transitively cut off. Chunks read only the frozen
+//! pre-stage result, so the order dirty chunks run in cannot change any
+//! answer; they run on the pool exactly as in an uncached solve.
 //!
 //! ## What bypasses this path
 //!
 //! Fuel-limited budgets, the engine's own or a limited one passed to
 //! `Engine::analyze_with_budget` (a blown budget must trip at the same
-//! point the full pipeline would), strict engines, armed fault plans, wall-clock
-//! deadlines, provenance-recording engines (stage diffs need the full
-//! pipeline), and the standalone-FS sensitivity (its alias classes are a
-//! global union-find, not per-candidate walks). Degraded-tier results
-//! are never persisted.
+//! point the full pipeline would), and the standalone-FS sensitivity (its
+//! alias classes are a global union-find, not per-candidate walks). The
+//! cache's own bypass — strict engines, armed fault plans, wall-clock
+//! deadlines — applies first. Degraded results are never persisted.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use manta_analysis::{DepKind, ModuleAnalysis, ObjectKind, VarRef};
-use manta_ir::{FuncId, InstId, ValueId};
-use manta_parallel::wavefront;
+use manta_ir::{printer, FuncId, InstId, ValueId};
 use manta_resilience::Budget;
 use manta_store::{hash_str, ByteReader, ByteWriter, DecodeError, Fingerprint, Key};
 
-use crate::cache::{bad, config_hash, dec_interval, enc_interval, function_fingerprints};
-use crate::ctx_refine::{self, Footprint};
-use crate::flow_refine::{self, Cfgs, FsChunkOut};
+use crate::cache::{bad, config_hash, dec_interval, enc_interval};
 use crate::interval::TypeInterval;
-use crate::reveal::RevealMap;
-use crate::{classify, flow_insensitive, InferenceResult, MantaConfig, Sensitivity, Stage};
+use crate::refine::{ChunkUpdates, Computed};
+use crate::{Engine, InferenceResult, MantaConfig, Sensitivity, Stage};
 
 /// Version of the persisted summary-state payload. Folded into every
 /// input fingerprint and checked on decode, so a codec change orphans
@@ -89,45 +81,9 @@ pub fn eligible(sensitivity: Sensitivity) -> bool {
     !matches!(sensitivity, Sensitivity::Fs)
 }
 
-/// The refinement stages the summary driver replays, in cascade order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum StageKind {
-    Cs,
-    Fs,
-}
-
-impl StageKind {
-    fn tag(self) -> u8 {
-        match self {
-            StageKind::Cs => 0,
-            StageKind::Fs => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<StageKind> {
-        Some(match tag {
-            0 => StageKind::Cs,
-            1 => StageKind::Fs,
-            _ => return None,
-        })
-    }
-
-    fn stage(self) -> Stage {
-        match self {
-            StageKind::Cs => Stage::ContextRefine,
-            StageKind::Fs => Stage::FlowRefine,
-        }
-    }
-}
-
-fn stage_order(sensitivity: Sensitivity) -> &'static [StageKind] {
-    match sensitivity {
-        Sensitivity::Fi => &[],
-        Sensitivity::Fs => unreachable!("standalone FS is ineligible for the summary path"),
-        Sensitivity::FiFs => &[StageKind::Fs],
-        Sensitivity::FiCsFs => &[StageKind::Cs, StageKind::Fs],
-        Sensitivity::FiFsCs => &[StageKind::Fs, StageKind::Cs],
-    }
+/// The persisted tag of a refinement stage's chunk table: CS is 0, FS 1.
+fn memo_tag(stage: Stage) -> u8 {
+    u8::from(stage == Stage::FlowRefine)
 }
 
 // ---------------------------------------------------------------------
@@ -256,7 +212,9 @@ fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
     let mut stages = Vec::with_capacity(n_stages.min(4));
     for _ in 0..n_stages {
         let tag = r.u8("summary stage tag")?;
-        StageKind::from_tag(tag).ok_or(bad("summary stage tag"))?;
+        if tag > 1 {
+            return Err(bad("summary stage tag"));
+        }
         let n = r.len("summary entries")?;
         let mut entries = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
@@ -315,7 +273,7 @@ struct Inputs {
 }
 
 impl Inputs {
-    fn new(analysis: &ModuleAnalysis, text_fps: &[(String, u64)]) -> Inputs {
+    fn new(analysis: &ModuleAnalysis) -> Inputs {
         let module = analysis.module();
         let name_hash: Vec<u64> = module.functions().map(|f| hash_str(f.name())).collect();
         let by_name: HashMap<u64, FuncId> = module
@@ -354,7 +312,7 @@ impl Inputs {
             let mut h = Fingerprint::new();
             h.write_u64(u64::from(SUMMARY_STATE_VERSION));
             h.write_u64(extern_digest);
-            h.write_u64(text_fps[fid.index()].1);
+            h.write_u64(hash_str(&printer::print_function_canonical(module, func)));
 
             // Points-to slice: per value, the sorted stable object keys.
             for (value, _) in func.values() {
@@ -605,15 +563,7 @@ fn edge_hash(
 }
 
 // ---------------------------------------------------------------------
-// Wavefront scheduling
-// ---------------------------------------------------------------------
-//
-// The scheduler itself lives in `manta_parallel::wavefront` (SCC
-// condensation + level-by-level dispatch); this driver only maps
-// functions onto condensation levels and names the telemetry counter.
-
-// ---------------------------------------------------------------------
-// The solve driver
+// The chunk memo
 // ---------------------------------------------------------------------
 
 /// What one summary-mode solve reused and recomputed — the edit-storm
@@ -624,89 +574,56 @@ pub struct SolveReport {
     pub reused: Vec<String>,
     /// Functions whose chunks were recomputed, per stage, by name.
     pub recomputed: Vec<String>,
-    /// Width of each dispatched recompute wavefront.
-    pub wavefront_widths: Vec<usize>,
 }
 
-/// Runs the cascade in summary mode: reveal + FI + classification fresh,
-/// refinement chunks replayed from `prev_state` where their recorded
-/// footprints validate, recomputed (with footprint recording) otherwise.
-/// Returns the result — bit-identical to the full pipeline — plus the
-/// encoded new state and a reuse report.
-#[must_use]
-pub fn solve(
-    analysis: &ModuleAnalysis,
-    config: &MantaConfig,
-    prev_state: Option<&[u8]>,
-) -> (InferenceResult, Vec<u8>, SolveReport) {
-    let text_fps = function_fingerprints(analysis.module());
-    solve_with(analysis, config, prev_state, &text_fps)
+/// The per-chunk memo one summary-mode solve threads through its
+/// refinement stages: the previous state to replay from, this solve's
+/// input fingerprints, and the next state under construction.
+pub(crate) struct ChunkMemo {
+    prev: State,
+    inputs: Inputs,
+    /// Current points-to boundary fingerprints, by function index.
+    boundary_now: Vec<u64>,
+    /// Name hashes of the functions whose chunks recompute even when
+    /// their read footprint still validates: a function whose
+    /// interface-level points-to facts changed since the state was
+    /// written exchanged different facts with its callers, and that
+    /// change is not guaranteed to show up in the stage fingerprints the
+    /// footprint cites. Forcing extra recomputes is always sound:
+    /// recompute is deterministic and bit-identical.
+    force_dirty: HashSet<u64>,
+    /// Per-function input fingerprints at the current stage's entry.
+    stage_fps: Vec<u64>,
+    stages: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
+    interner: FpInterner,
+    report: SolveReport,
 }
 
-/// [`solve`] with the canonical-text fingerprints precomputed by the
-/// caller. The engine already hashes every function for the module
-/// cache index; hashing again here would double the dominant fixed
-/// cost of a warm summary solve.
-pub(crate) fn solve_with(
-    analysis: &ModuleAnalysis,
-    config: &MantaConfig,
-    prev_state: Option<&[u8]>,
-    text_fps: &[(String, u64)],
-) -> (InferenceResult, Vec<u8>, SolveReport) {
-    manta_telemetry::span!("infer.summary");
-    let module = analysis.module();
-    let prev = {
-        manta_telemetry::span!("summary.decode");
-        match prev_state {
-            Some(p) => match decode_state(p) {
-                Ok(s) => s,
-                Err(_) => {
+impl ChunkMemo {
+    /// A memo over `analysis` replaying from `prev_state` (an encoded
+    /// state; `None` or an undecodable one replays nothing).
+    pub(crate) fn new(analysis: &ModuleAnalysis, prev_state: Option<&[u8]>) -> ChunkMemo {
+        let prev = {
+            manta_telemetry::span!("summary.decode");
+            match prev_state.map(decode_state) {
+                Some(Ok(s)) => s,
+                Some(Err(_)) => {
                     manta_telemetry::counter("summary.state_corrupt", 1);
                     State::default()
                 }
-            },
-            None => State::default(),
-        }
-    };
-    let inputs = {
-        manta_telemetry::span!("summary.inputs");
-        Inputs::new(analysis, text_fps)
-    };
-    let stages = stage_order(config.sensitivity);
-    let mut report = SolveReport::default();
-
-    let reveals = RevealMap::collect(analysis);
-    let mut result = flow_insensitive::run(analysis, &reveals, *config);
-
-    // Call-graph condensation: SCC topological levels drive the
-    // recompute wavefronts (callees' chunks before callers').
-    let call_edges: Vec<(u32, u32)> = analysis
-        .callgraph
-        .edges()
-        .iter()
-        .map(|e| (e.caller.0, e.callee.0))
-        .collect();
-    let cond = wavefront::condense(module.function_count(), &call_edges);
-    let level_of_func = cond.node_levels();
-
-    let needs_fs = stages.contains(&StageKind::Fs);
-    let cfgs = needs_fs.then(|| Cfgs::new(analysis));
-
-    // Points-to boundary fingerprints: a function whose interface-level
-    // points-to facts changed since the state was written exchanged
-    // different facts with its callers, so every caller's chunk is
-    // force-dirtied (in addition to ordinary footprint validation —
-    // forcing extra recomputes is always sound because recompute is
-    // deterministic and bit-identical).
-    let boundary_now = {
+                None => State::default(),
+            }
+        };
+        let inputs = {
+            manta_telemetry::span!("summary.inputs");
+            Inputs::new(analysis)
+        };
         manta_telemetry::span!("summary.boundary_fps");
-        inputs.boundary_fps(analysis)
-    };
-    let force_dirty: std::collections::HashSet<u64> = {
+        let boundary_now = inputs.boundary_fps(analysis);
         let prev_bnd: HashMap<u64, u64> = prev.boundary_fps.iter().copied().collect();
-        let mut force = std::collections::HashSet::new();
+        let mut force_dirty = HashSet::new();
         if !prev_bnd.is_empty() {
-            for func in module.functions() {
+            for func in analysis.module().functions() {
                 let fid = func.id();
                 let nh = inputs.name_hash[fid.index()];
                 if prev_bnd.get(&nh) == Some(&boundary_now[fid.index()]) {
@@ -714,233 +631,183 @@ pub(crate) fn solve_with(
                 }
                 // Changed (or new) boundary: the owner and every caller
                 // consume its interface facts.
-                force.insert(nh);
+                force_dirty.insert(nh);
                 for e in analysis.callgraph.callers(fid) {
-                    force.insert(inputs.name_hash[e.caller.index()]);
+                    force_dirty.insert(inputs.name_hash[e.caller.index()]);
                 }
             }
         }
-        manta_telemetry::counter("summary.boundary_dirty", force.len() as u64);
-        force
-    };
-
-    let mut new_state = State::default();
-    let mut interner = FpInterner::default();
-    for &stage in stages {
-        let in_fps = {
-            manta_telemetry::span!("summary.stage_fps");
-            inputs.stage_fps(analysis, &result)
-        };
-        let over = classify::over_approximated(analysis, &result);
-        match stage {
-            StageKind::Cs => manta_telemetry::counter("cs.candidates", over.len() as u64),
-            StageKind::Fs => manta_telemetry::counter("fs.candidates", over.len() as u64),
+        manta_telemetry::counter("summary.boundary_dirty", force_dirty.len() as u64);
+        ChunkMemo {
+            prev,
+            inputs,
+            boundary_now,
+            force_dirty,
+            stage_fps: Vec::new(),
+            stages: Vec::new(),
+            interner: FpInterner::default(),
+            report: SolveReport::default(),
         }
-        let chunks = ctx_refine::partition_by_func(over);
+    }
 
-        let (reused, dirty) = {
-            manta_telemetry::span!("summary.validate");
-            let prev_by_name: HashMap<u64, &ChunkEntry> = prev
-                .entries(stage.tag())
-                .map(|es| es.iter().map(|(h, e)| (*h, e)).collect())
-                .unwrap_or_default();
-            // Footprint validity memoized per interned list: chunks in
-            // one call cluster share a footprint, so each distinct read
-            // set is checked once per stage no matter how many chunks
-            // cite it.
-            let mut fp_ok: Vec<Option<bool>> = vec![None; prev.footprints.len()];
-            let mut reused: Vec<(FuncId, ChunkEntry)> = Vec::new();
-            let mut dirty: Vec<(FuncId, Vec<VarRef>)> = Vec::new();
-            for chunk in chunks {
-                let f = chunk[0].func;
-                let nh = inputs.name_hash[f.index()];
-                // Boundary-forced chunks recompute even when their read
-                // footprint still validates: the interface-level points-to
-                // change is not guaranteed to show up in the stage
-                // fingerprints the footprint cites.
-                let valid = if force_dirty.contains(&nh) {
-                    None
-                } else {
-                    prev_by_name.get(&nh).copied().filter(|e| {
-                        let idx = e.footprint as usize;
-                        *fp_ok[idx].get_or_insert_with(|| {
-                            prev.footprints[idx].iter().all(|&(h, fp)| {
-                                inputs.by_name.get(&h).map(|g| in_fps[g.index()]) == Some(fp)
-                            })
+    /// Splits one stage's per-function chunks, at stage entry (`result`
+    /// is the pre-stage result), into the updates of every chunk whose
+    /// cached entry validates and the chunks that must recompute.
+    pub(crate) fn split(
+        &mut self,
+        analysis: &ModuleAnalysis,
+        stage: Stage,
+        result: &InferenceResult,
+        chunks: Vec<Vec<VarRef>>,
+    ) -> (Vec<ChunkUpdates>, Vec<Vec<VarRef>>) {
+        manta_telemetry::span!("summary.validate");
+        let module = analysis.module();
+        self.stage_fps = self.inputs.stage_fps(analysis, result);
+        let prev = &self.prev;
+        let prev_by_name: HashMap<u64, &ChunkEntry> = prev
+            .entries(memo_tag(stage))
+            .map(|es| es.iter().map(|(h, e)| (*h, e)).collect())
+            .unwrap_or_default();
+        // Footprint validity memoized per interned list: chunks in one
+        // call cluster share a footprint, so each distinct read set is
+        // checked once per stage no matter how many chunks cite it.
+        let mut fp_ok: Vec<Option<bool>> = vec![None; prev.footprints.len()];
+        let mut replayed: Vec<ChunkUpdates> = Vec::new();
+        let mut dirty: Vec<Vec<VarRef>> = Vec::new();
+        for chunk in chunks {
+            let f = chunk[0].func;
+            let nh = self.inputs.name_hash[f.index()];
+            let valid = if self.force_dirty.contains(&nh) {
+                None
+            } else {
+                prev_by_name.get(&nh).copied().filter(|e| {
+                    let idx = e.footprint as usize;
+                    *fp_ok[idx].get_or_insert_with(|| {
+                        prev.footprints[idx].iter().all(|&(h, fp)| {
+                            self.inputs
+                                .by_name
+                                .get(&h)
+                                .map(|g| self.stage_fps[g.index()])
+                                == Some(fp)
                         })
                     })
-                };
-                match valid {
-                    Some(e) => reused.push((f, e.clone())),
-                    None => dirty.push((f, chunk)),
+                })
+            };
+            let name = module.function(f).name().to_string();
+            match valid {
+                Some(e) => {
+                    self.report.reused.push(name);
+                    replayed.push(e.updates(f));
+                }
+                None => {
+                    self.report.recomputed.push(name);
+                    dirty.push(chunk);
                 }
             }
-            (reused, dirty)
-        };
-        manta_telemetry::counter("summary.hits", reused.len() as u64);
+        }
+        manta_telemetry::counter("summary.hits", replayed.len() as u64);
         manta_telemetry::counter("summary.recomputes", dirty.len() as u64);
-        for (f, _) in &reused {
-            report.reused.push(module.function(*f).name().to_string());
-        }
-        for (f, _) in &dirty {
-            report
-                .recomputed
-                .push(module.function(*f).name().to_string());
-        }
+        (replayed, dirty)
+    }
 
-        // Recompute dirty chunks wavefront by wavefront against the
-        // frozen pre-stage result, recording footprints.
-        let levels = wavefront::group_by_level(dirty, |f: FuncId| level_of_func[f.index()]);
-        let mut width_max = 0u64;
-        for l in &levels {
-            report.wavefront_widths.push(l.len());
-            width_max = width_max.max(l.len() as u64);
-        }
-        if width_max > 0 {
-            manta_telemetry::counter_set("summary.wavefront_width_max", width_max);
-        }
-        let frozen: &InferenceResult = &result;
-        let raw = {
-            manta_telemetry::span!("summary.recompute");
-            wavefront::wavefront_dispatch(levels, "summary.wavefronts", |(f, chunk)| {
-                let mut fp = Footprint::on(module.function_count());
-                let (vars, sites) = match stage {
-                    StageKind::Cs => {
-                        let updates = match ctx_refine::refine_chunk(
-                            analysis,
-                            &reveals,
-                            config,
-                            frozen,
-                            &Budget::unlimited(),
-                            chunk,
-                            &mut fp,
-                        ) {
-                            Ok(u) => u,
-                            Err(_) => unreachable!("unlimited budget tripped"),
-                        };
-                        (updates, Vec::new())
-                    }
-                    StageKind::Fs => {
-                        let out: FsChunkOut = match flow_refine::refine_chunk(
-                            analysis,
-                            &reveals,
-                            config,
-                            frozen,
-                            cfgs.as_ref().expect("Cfgs built for FS stages"),
-                            &Budget::unlimited(),
-                            chunk,
-                            &mut fp,
-                        ) {
-                            Ok(o) => o,
-                            Err(_) => unreachable!("unlimited budget tripped"),
-                        };
-                        out
-                    }
-                };
-                let footprint: Vec<(u64, u64)> = fp
-                    .into_funcs()
-                    .into_iter()
-                    .map(|g| (inputs.name_hash[g.index()], in_fps[g.index()]))
-                    .collect();
-                let vars: Vec<(u32, TypeInterval)> =
-                    vars.into_iter().map(|(v, i)| (v.value.0, i)).collect();
-                let sites: Vec<(u32, u32, TypeInterval)> = sites
-                    .into_iter()
-                    .map(|((v, s), i)| (v.value.0, s.0, i))
-                    .collect();
-                (f, footprint, vars, sites)
-            })
-        };
-        // Interning is sequential bookkeeping, so it happens after the
-        // parallel dispatch rather than inside it.
-        let computed: Vec<(FuncId, ChunkEntry)> = raw
-            .into_iter()
-            .map(|(f, footprint, vars, sites)| {
-                let entry = ChunkEntry {
-                    footprint: interner.intern(footprint),
-                    vars,
-                    sites,
-                };
-                (f, entry)
-            })
-            .collect();
-
-        // Apply updates (keys are unique per chunk, so order between
-        // replayed and recomputed chunks cannot matter), then classify —
-        // exactly what `refine_budgeted` does after its own merge.
-        manta_telemetry::span!("summary.apply");
-        let mut applied_vars = 0u64;
-        let mut applied_sites = 0u64;
-        for (f, entry) in reused.iter().chain(computed.iter()) {
-            for (v, i) in &entry.vars {
-                result
-                    .var_types
-                    .insert(VarRef::new(*f, ValueId(*v)), i.clone());
-                applied_vars += 1;
-            }
-            for (v, s, i) in &entry.sites {
-                result
-                    .site_types
-                    .insert((VarRef::new(*f, ValueId(*v)), InstId(*s)), i.clone());
-                applied_sites += 1;
-            }
-        }
-        match stage {
-            StageKind::Cs => manta_telemetry::counter("cs.refined", applied_vars),
-            StageKind::Fs => manta_telemetry::counter("fs.site_types", applied_sites),
-        }
-        let counts = classify::classify(analysis, &mut result);
-        result.stage_counts.push((stage.stage(), counts));
-
-        // New state for this stage: replayed + recomputed entries, plus
-        // previous entries for functions that still exist but had no
-        // candidates this round (a later edit may revive them).
-        // Replayed and carried entries cite the *previous* footprint
-        // table, so their lists re-intern into the new one.
+    /// Records one stage's next-state chunk table: the recomputed chunks
+    /// with their footprints, plus every previous entry whose owner still
+    /// exists and did not recompute — replayed chunks, and chunks with no
+    /// candidates this round (a later edit may revive them). Previous
+    /// entries cite the previous footprint table, so their lists
+    /// re-intern into the new one.
+    pub(crate) fn record(&mut self, stage: Stage, computed: &[Computed]) {
+        let name_hash = &self.inputs.name_hash;
         let mut entries: Vec<(u64, ChunkEntry)> = Vec::new();
-        let mut present: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (f, mut e) in reused {
-            let nh = inputs.name_hash[f.index()];
+        let mut present: HashSet<u64> = HashSet::new();
+        for (f, read, (vars, sites)) in computed {
+            let nh = name_hash[f.index()];
             present.insert(nh);
-            e.footprint = interner.intern(prev.footprints[e.footprint as usize].clone());
-            entries.push((nh, e));
+            let footprint = read
+                .iter()
+                .map(|g| (name_hash[g.index()], self.stage_fps[g.index()]))
+                .collect();
+            let entry = ChunkEntry {
+                footprint: self.interner.intern(footprint),
+                vars: vars.iter().map(|(v, i)| (v.value.0, i.clone())).collect(),
+                sites: sites
+                    .iter()
+                    .map(|((v, s), i)| (v.value.0, s.0, i.clone()))
+                    .collect(),
+            };
+            entries.push((nh, entry));
         }
-        for (f, e) in computed {
-            let nh = inputs.name_hash[f.index()];
-            present.insert(nh);
-            entries.push((nh, e));
-        }
-        if let Some(old) = prev.entries(stage.tag()) {
+        let tag = memo_tag(stage);
+        if let Some(old) = self.prev.entries(tag) {
             for (nh, e) in old {
-                if inputs.by_name.contains_key(nh) && !present.contains(nh) {
+                if self.inputs.by_name.contains_key(nh) && !present.contains(nh) {
+                    let list = self.prev.footprints[e.footprint as usize].clone();
                     let mut e = e.clone();
-                    e.footprint = interner.intern(prev.footprints[e.footprint as usize].clone());
+                    e.footprint = self.interner.intern(list);
                     entries.push((*nh, e));
                 }
             }
         }
         entries.sort_by_key(|(nh, _)| *nh);
-        new_state.stages.push((stage.tag(), entries));
+        self.stages.push((tag, entries));
     }
 
-    result.config = *config;
-    new_state.footprints = interner.table;
-    new_state.boundary_fps = {
-        let mut fps: Vec<(u64, u64)> = module
-            .functions()
-            .map(|f| {
-                let i = f.id().index();
-                (inputs.name_hash[i], boundary_now[i])
-            })
-            .collect();
-        fps.sort_unstable();
-        fps
-    };
-    let encoded = {
+    /// The encoded next state and what this solve replayed.
+    pub(crate) fn finish(self) -> (Vec<u8>, SolveReport) {
         manta_telemetry::span!("summary.encode");
-        encode_state(&new_state)
+        let mut boundary_fps: Vec<(u64, u64)> = self
+            .inputs
+            .name_hash
+            .iter()
+            .copied()
+            .zip(self.boundary_now)
+            .collect();
+        boundary_fps.sort_unstable();
+        let state = State {
+            footprints: self.interner.table,
+            boundary_fps,
+            stages: self.stages,
+        };
+        (encode_state(&state), self.report)
+    }
+}
+
+impl ChunkEntry {
+    /// The updates this entry replays for owner `f`.
+    fn updates(&self, f: FuncId) -> ChunkUpdates {
+        let var = |v: u32| VarRef::new(f, ValueId(v));
+        (
+            self.vars
+                .iter()
+                .map(|(v, i)| (var(*v), i.clone()))
+                .collect(),
+            self.sites
+                .iter()
+                .map(|(v, s, i)| ((var(*v), InstId(*s)), i.clone()))
+                .collect(),
+        )
+    }
+}
+
+/// Runs the ordinary pipeline in summary mode: reveal + FI +
+/// classification fresh, refinement chunks replayed from `prev_state`
+/// where their recorded footprints validate, recomputed (with footprint
+/// recording) otherwise. Returns the result — bit-identical to the full
+/// pipeline — plus the encoded new state and a reuse report.
+#[must_use]
+pub fn solve(
+    analysis: &ModuleAnalysis,
+    config: &MantaConfig,
+    prev_state: Option<&[u8]>,
+) -> (InferenceResult, Vec<u8>, SolveReport) {
+    let mut memo = ChunkMemo::new(analysis, prev_state);
+    let engine = Engine::new(*config);
+    let result = match engine.run_pipeline(analysis, &Budget::unlimited(), Some(&mut memo)) {
+        Ok((result, _)) => result,
+        Err(_) => unreachable!("a non-strict engine never errors"),
     };
-    (result, encoded, report)
+    let (state, report) = memo.finish();
+    (result, state, report)
 }
 
 #[cfg(test)]

@@ -28,7 +28,9 @@ const SENSITIVITIES: [Sensitivity; 5] = [
     Sensitivity::FiFsCs,
 ];
 
-/// Serializes tests that flip the process-global pool size.
+/// Serializes the tests: some flip the process-global pool size, and
+/// one reads the process-global `summary.*` counters, which every other
+/// summary solve here would also bump.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -123,6 +125,7 @@ fn summary_engine(config: MantaConfig, dir: &PathBuf) -> Engine {
 /// global alias classes cannot be chunked), not the summary codec.
 #[test]
 fn summary_engine_matches_plain_solve_across_sensitivities() {
+    let _l = lock();
     for sens in SENSITIVITIES {
         let config = MantaConfig::with_sensitivity(sens);
         let dir = temp_dir(&format!("sens-{sens:?}"));
@@ -146,6 +149,7 @@ fn summary_engine_matches_plain_solve_across_sensitivities() {
 /// exhaustion regimes from trivially blown to effectively unlimited.
 #[test]
 fn fuel_budgets_bypass_summaries_but_stay_correct() {
+    let _l = lock();
     let a = analysis(None);
     let plain = Engine::new(MantaConfig::full());
     for fuel in [0u64, 500, 50_000, u64::MAX] {
@@ -175,7 +179,7 @@ fn fuel_budgets_bypass_summaries_but_stay_correct() {
     }
 }
 
-/// One summary engine carried across pool sizes: recompute wavefronts
+/// One summary engine carried across pool sizes: dirty chunks
 /// dispatched over 1, 2 and 8 threads must replay and recompute to the
 /// same bytes a fresh single-path solve produces.
 #[test]
@@ -210,6 +214,7 @@ fn summary_results_are_thread_count_invariant() {
 /// that the result matches a fresh whole-module solve byte for byte.
 #[test]
 fn edit_storm_recomputes_only_the_dirty_clusters() {
+    let _l = lock();
     let config = MantaConfig::full();
     let manta = Manta::new(config);
     let (_, mut state, _) = summaries::solve(&analysis(None), &config, None);
@@ -260,4 +265,62 @@ fn edit_storm_recomputes_only_the_dirty_clusters() {
         state = new_state;
         prev_cluster = Some(cluster);
     }
+}
+
+/// Provenance does not bypass summaries: after an edit, a
+/// provenance-recording summary engine replays clean chunks, returns a
+/// result byte-identical to a fresh solve, and explains it with the
+/// same graph a cacheless provenance engine builds — the stage diffs
+/// run in the one refinement driver either way.
+#[test]
+fn provenance_engines_replay_summaries() {
+    let _l = lock();
+    let config = MantaConfig::full();
+    let dir = temp_dir("provenance");
+    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+    let engine = Engine::builder()
+        .config(config)
+        .provenance(true)
+        .cache(cache)
+        .summaries(true)
+        .build()
+        .expect("prebuilt cache cannot fail to attach");
+    let cacheless = Engine::builder()
+        .config(config)
+        .provenance(true)
+        .build()
+        .expect("cacheless build");
+    let substrate = |edit| {
+        cacheless
+            .build_substrate(module(edit), &Budget::unlimited())
+            .expect("substrate")
+    };
+    engine
+        .analyze_explained(&substrate(None))
+        .expect("non-strict cannot fail");
+
+    let edited = substrate(Some((3, 11)));
+    manta_telemetry::set_enabled(true);
+    manta_telemetry::reset();
+    let (result, graph) = engine
+        .analyze_explained(&edited)
+        .expect("non-strict cannot fail");
+    let hits = manta_telemetry::report().counter("summary.hits");
+    manta_telemetry::set_enabled(false);
+    let (fresh, fresh_graph) = cacheless
+        .analyze_explained(&edited)
+        .expect("non-strict cannot fail");
+
+    assert!(
+        results_identical(&result, &Manta::new(config).infer(&edited)),
+        "provenance summary engine diverged from a fresh solve"
+    );
+    assert!(results_identical(&result, &fresh));
+    assert_eq!(
+        graph.expect("provenance on yields a graph").encode(),
+        fresh_graph.expect("provenance on yields a graph").encode(),
+        "explain graph diverged from the cacheless provenance engine"
+    );
+    assert!(hits > 0, "clean clusters must replay under provenance");
+    let _ = std::fs::remove_dir_all(&dir);
 }
